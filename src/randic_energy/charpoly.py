@@ -94,7 +94,7 @@ def char_poly_numeric(m: np.ndarray) -> Polynomial:
     for k in range(1, n + 1):
         mk = m @ (mk + coeffs[-1] * np.eye(n))
         coeffs.append(-np.trace(mk) / k)
-    return Polynomial(tuple(float(c) for c in coeffs))
+    return Polynomial(tuple([float(c) for c in coeffs]))
 
 
 def _canonical_cycles_at(g: Graph, base: int, free: list[bool]) -> list[tuple[int, ...]]:

@@ -50,7 +50,7 @@ from .graph import (
     is_connected,
     parse_edge_list_report,
 )
-from .spectral import ConvergenceError, randic_matrix
+from .spectral import ConvergenceError, eigen_symmetric, randic_matrix
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -245,19 +245,21 @@ def _run_energy(job, args, warnings) -> dict:
 
     per_route: dict[str, list[float]] = {}
     meta: dict[str, dict] = {}
-    if "eigen" in routes:
-        vec = vertex_energies(g, route=ROUTE_EIGEN)
-        per_route["eigen"] = list(vec.energies)
-        meta["eigen"] = {"total": vec.total}
-    if "abs" in routes:
-        vec = vertex_energies(g, route=ROUTE_ABS)
-        per_route["abs"] = list(vec.energies)
-        meta["abs"] = {"total": vec.total}
+    # eigen and abs share one decomposition: a second LAPACK solve of the
+    # same matrix returns the same bits, so it would add cost, not a check
+    if "eigen" in routes or "abs" in routes:
+        dec = eigen_symmetric(randic_matrix(g))
+    for name, route in (("eigen", ROUTE_EIGEN), ("abs", ROUTE_ABS)):
+        if name in routes:
+            vec = vertex_energies(g, route=route, decomposition=dec)
+            per_route[name] = list(vec.energies)
+            meta[name] = {"total": vec.total, "residual": dec.residual,
+                          "orthogonality": dec.orthogonality}
     if "series" in routes:
         ser = series_energies(g)
         per_route["series"] = list(ser.energies)
         meta["series"] = {"total": ser.total, "terms": ser.terms,
-                          "remainder_estimate": ser.remainder_estimate}
+                          "tail_bound": ser.tail_bound}
     if "coulson" in routes:
         cfg = QuadratureConfig(tolerance=args.tol if args.command == "coulson" else 1e-7)
         vals, converged = [], True
@@ -433,7 +435,8 @@ def _run_compare(job, args, warnings) -> dict:
 def _run_family_info(job, args, warnings) -> dict:
     spec = _family_spec(args)
     g = job["graph"]
-    computed = vertex_energies(g).energies
+    dec = eigen_symmetric(randic_matrix(g))
+    computed = vertex_energies(g, decomposition=dec).energies
     classes = vertex_classes(spec)
     results = []
     if classes:
@@ -459,7 +462,7 @@ def _run_family_info(job, args, warnings) -> dict:
             results.append({"class": "vertex", "vertices": [i + 1],
                             "energy": computed[i], "closed_form": False,
                             "computed": computed[i]})
-    routes = {"label": spec.label(), "total_energy": graph_energy(g)}
+    routes = {"label": spec.label(), "total_energy": graph_energy(g, decomposition=dec)}
     return {"graph": _graph_header(job), "command": "family-info",
             "results": results, "routes": routes, "warnings": warnings}
 

@@ -39,11 +39,11 @@ class VertexEnergyVector:
 
 @dataclass(frozen=True)
 class SeriesEnergies:
-    """Truncated-series energies plus an honest account of the truncation."""
+    """Truncated-series energies and a bound on every vertex's truncation error."""
 
     energies: tuple[float, ...]
     terms: int
-    remainder_estimate: float
+    tail_bound: float
 
     @property
     def total(self) -> float:
@@ -60,14 +60,13 @@ def _check_graph(g: Graph) -> None:
 def vertex_energies(g: Graph, *, route: str = ROUTE_EIGEN,
                     decomposition: EigenDecomposition | None = None) -> VertexEnergyVector:
     _check_graph(g)
-    r = randic_matrix(g)
     if route == ROUTE_EIGEN:
-        dec = decomposition if decomposition is not None else eigen_symmetric(r)
+        dec = decomposition if decomposition is not None else eigen_symmetric(randic_matrix(g))
         absvals = np.abs(dec.values)
         energies = (dec.vectors ** 2) @ absvals
         total = float(absvals.sum())
     elif route == ROUTE_ABS:
-        energies = np.diag(matrix_abs(r, decomposition=decomposition))
+        energies = np.diag(matrix_abs(randic_matrix(g), decomposition=decomposition))
         total = float(energies.sum())
     elif route == ROUTE_SERIES:
         series = series_energies(g)
@@ -76,7 +75,7 @@ def vertex_energies(g: Graph, *, route: str = ROUTE_EIGEN,
     else:
         raise ValueError(f"unknown route {route!r}")
     return VertexEnergyVector(
-        energies=tuple(float(e) for e in energies), total=total, route=route
+        energies=tuple(energies.tolist()), total=total, route=route
     )
 
 
@@ -123,11 +122,14 @@ def vertex_energy_series(g: Graph, i: int, terms: int) -> float:
 
 
 def series_energies(g: Graph, *, terms: int = 200) -> SeriesEnergies:
-    """All-vertex truncated binomial series with a remainder estimate.
+    """All-vertex truncated binomial series with a bound on its truncation.
 
-    The reported remainder is |binom(1/2, terms)|, the magnitude of the
-    first dropped coefficient; it bounds the tail only up to the spectral
-    factor, so callers needing certainty should compare routes instead.
+    Every eigenvalue of B = R^2 - I lies in [-1, 0] and the squared
+    eigenvector weights of a vertex sum to 1, so the dropped terms at any
+    vertex add up to at most sum_{k>=terms} |binom(1/2,k)|. As
+    sum_{k>=1} |binom(1/2,k)| = 1, that is
+    ``tail_bound = 1 - sum_{k=1}^{terms-1} |binom(1/2,k)|``, and each
+    reported energy lies in [true, true + tail_bound].
     """
     _check_graph(g)
     if terms < 1:
@@ -137,17 +139,17 @@ def series_energies(g: Graph, *, terms: int = 200) -> SeriesEnergies:
     b = r @ r - np.eye(g.n)
     power = np.eye(g.n)
     totals = np.zeros(g.n)
-    last_coeff = 1.0
+    kept = 0.0
     for k, coeff in enumerate(_binomial_half_coefficients(terms)):
         totals += coeff * np.diag(power)
-        last_coeff = coeff
+        if k > 0:
+            kept += abs(coeff)
         if k + 1 < terms:
             power = power @ b
-    dropped = abs(last_coeff * (0.5 - (terms - 1)) / terms)
     return SeriesEnergies(
-        energies=tuple(float(e) for e in totals),
+        energies=tuple(totals.tolist()),
         terms=terms,
-        remainder_estimate=dropped,
+        tail_bound=1.0 - kept,
     )
 
 

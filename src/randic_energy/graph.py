@@ -44,8 +44,11 @@ class Graph:
         for u, v in edge_tuple:
             neighbors[u].append(v)
             neighbors[v].append(u)
-        adjacency = tuple(tuple(sorted(ns)) for ns in neighbors)
-        degrees = tuple(len(ns) for ns in adjacency)
+        # tuples built from lists, not generators: tuple(<generator>) resizes a
+        # guessed-length tuple, which drains CPython's per-length free lists
+        # into other lengths and grows a long-running process's memory
+        adjacency = tuple([tuple(sorted(ns)) for ns in neighbors])
+        degrees = tuple([len(ns) for ns in adjacency])
         return cls(n=n, edges=edge_tuple, adjacency=adjacency, degrees=degrees)
 
     @property

@@ -7,6 +7,7 @@ spawning subprocesses.
 import json
 import math
 
+import numpy as np
 import pytest
 
 from randic_energy.cli import main
@@ -68,6 +69,35 @@ def test_multi_route_energy_reports_deltas(capsys):
     assert all(d < 1e-6 for d in deltas.values())
     for entry in report["results"]:
         assert set(entry) == {"vertex", "eigen", "abs", "series", "coulson"}
+
+
+def test_energy_reports_eigen_diagnostics_and_series_tail_bound(capsys):
+    code, report, _ = run_json(capsys, "energy", "--family", "star", "--n", "100",
+                               "--routes", "eigen,abs,series")
+    assert code == 0
+    routes = report["routes"]
+    for name in ("eigen", "abs"):
+        assert 0.0 <= routes[name]["residual"] < 1e-12
+        assert 0.0 <= routes[name]["orthogonality"] < 1e-12
+    assert set(routes["series"]) == {"total", "terms", "tail_bound"}
+    assert routes["deltas"]["eigen/series"] <= routes["series"]["tail_bound"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("energy", "--family", "cycle", "--n", "9", "--routes", "eigen,abs,series"),
+    ("family-info", "--family", "friendship", "--triangles", "4"),
+])
+def test_one_eigensolve_per_graph(capsys, monkeypatch, argv):
+    eigh, calls = np.linalg.eigh, []
+
+    def counting_eigh(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    code, _, _ = run_json(capsys, *argv)
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_vertex_selector(capsys):

@@ -208,13 +208,21 @@ def test_series_converges_from_above_to_eigen_value():
 
 
 def test_series_cap_and_remainder_estimate():
-    res = series_energies(path(3), terms=50_000)
-    assert res.terms == 10_000
-    assert 0.0 < res.remainder_estimate < 1e-6
-    # remainder estimate shrinks like the first dropped coefficient
-    r10 = series_energies(path(3), terms=10).remainder_estimate
-    r100 = series_energies(path(3), terms=100).remainder_estimate
-    assert r100 < r10
+    assert series_energies(path(3), terms=50_000).terms == 10_000
+    bounds = []
+    for terms in (10, 200, 2000):
+        for g in (star(100), path(3)):
+            res = series_energies(g, terms=terms)
+            eig = vertex_energies(g).energies
+            for i in range(g.n):
+                # truncations approach from above; 1e-14 allows for rounding
+                assert -1e-14 <= res.energies[i] - eig[i] <= res.tail_bound
+        bounds.append(res.tail_bound)
+    assert bounds[0] > bounds[1] > bounds[2] > 0.0
+    # the leaves of a large star carry almost all weight on the zero
+    # eigenvalue, where the tail is slowest: the bound is nearly attained
+    leaf_error = series_energies(star(100)).energies[1] - 1.0 / 99.0
+    assert leaf_error == pytest.approx(series_energies(star(100)).tail_bound, rel=0.02)
 
 
 def test_series_all_vertices_matches_single_vertex():

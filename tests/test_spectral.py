@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from randic_energy.cli import main
+from randic_energy.families import complete_bipartite, friendship, star
 from randic_energy.graph import Graph
 from randic_energy.random_graphs import random_connected_graph
 from randic_energy.spectral import (
@@ -122,9 +124,56 @@ def test_trivial_sizes():
     assert np.all(dec.values == 0.0)
 
 
-def test_convergence_error_reports_norm():
-    with pytest.raises(ConvergenceError, match="off-diagonal"):
-        eigen_symmetric(randic_matrix(cycle(7)), max_sweeps=1)
+def _failing_eigh(a):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def test_lapack_failure_is_a_convergence_error(monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigh", _failing_eigh)
+    with pytest.raises(ConvergenceError, match="did not converge on a 7x7"):
+        eigen_symmetric(randic_matrix(cycle(7)))
+
+
+def test_lapack_failure_exits_3_from_the_cli(monkeypatch, capsys):
+    monkeypatch.setattr(np.linalg, "eigh", _failing_eigh)
+    assert main(["energy", "--family", "cycle", "--n", "7"]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
+# graphs of the sizes the CLI is used at: seeded G(n, 0.2), plus the
+# near-singular (star) and bipartite (K_{a,b}) spectra with n - 2 zeros
+SIZED_GRAPHS = {
+    **{f"gnp{n}": (lambda n=n: random_connected_graph(random.Random(n), n, 0.2))
+       for n in (50, 100, 200)},
+    "star150": lambda: star(150),
+    "k40_60": lambda: complete_bipartite(40, 60),
+    "friendship50": lambda: friendship(50),
+    "cycle100": lambda: cycle(100),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIZED_GRAPHS))
+def test_decomposition_is_accurate_at_size(name):
+    r = randic_matrix(SIZED_GRAPHS[name]())
+    dec = eigen_symmetric(r)
+    ref = np.sort(np.linalg.eigvalsh(r))[::-1]
+    np.testing.assert_allclose(dec.values, ref, rtol=0, atol=1e-12)
+    assert dec.residual <= 1e-12
+    assert dec.orthogonality <= 1e-12
+    # the stored diagnostics are those of the stored pair
+    y = dec.vectors
+    assert dec.residual == pytest.approx(np.linalg.norm(r @ y - y * dec.values), abs=1e-15)
+    assert dec.orthogonality == pytest.approx(
+        np.abs(y.T @ y - np.eye(r.shape[0])).max(), abs=1e-15)
+
+
+@pytest.mark.parametrize("name", ["star150", "k40_60"])
+def test_star_and_complete_bipartite_have_n_minus_2_exact_zeros(name):
+    g = SIZED_GRAPHS[name]()
+    dec = eigen_symmetric(randic_matrix(g))
+    assert int(np.count_nonzero(dec.values == 0.0)) == g.n - 2
+    assert dec.values[0] == pytest.approx(1.0, abs=1e-14)
+    assert dec.values[-1] == pytest.approx(-1.0, abs=1e-14)
 
 
 @settings(max_examples=40, deadline=None)
