@@ -1,30 +1,46 @@
-"""Vertex energy as a contour-type integral over the real line.
+"""Vertex energy as a Coulson-type integral over the real line.
 
-    energy(v_i) = (1/pi) * integral of Re[ 1 - ix p_i(ix)/p(ix) ] dx
+    energy(v_i) = (1/pi) * integral of Re[ 1 - ix G_ii(ix) ] dx
 
-where p is the characteristic polynomial of R(G) and p_i the polynomial of
-R(G) with row/column i struck out. Striking the row/column keeps the edge
-weights of the full graph; rebuilding R on the literal vertex-deleted graph
-(degrees recomputed) does NOT satisfy this identity and is provided only as
-a comparison mode.
+G_ii(z) = [(zI - R)^-1]_ii = p_i(z)/p(z) by Cramer's rule, with p the
+characteristic polynomial of R(G) and p_i that of R(G) with row/column i
+struck out: the paper's formula, with no polynomial formed. Lanczos on R
+from e_i with full reorthogonalisation (the recursion method of Haydock,
+Heine & Kelly, 1972) gives a_1..a_k and b_1..b_(k-1), stopping once the
+Krylov space is invariant (k <= n), and
 
-Numerical notes: polynomials at imaginary argument are evaluated with
-even/odd Horner passes so everything stays real; for |x| > 1 the reversed
-coefficient sequence is evaluated at 1/x, which avoids overflow of x^n; the
-substitution x = tan(t) compactifies the line and the transformed integrand
-extends continuously to t = +/- pi/2.
+    G_ii(z) = 1/d_1,   d_j = z - a_j - b_j^2/d_(j+1),   d_k = z - a_k.
+
+The integrand is Re[(d_1 - z)/d_1], with d_1 - z = -a_1 - b_1^2/d_2 formed
+directly so that nothing cancels at large |x|. For x != 0 each d_j has an
+imaginary part of x's sign and at least |x| in modulus; x = 0 gets its
+limit, one minus the weight the vertex puts on the zero eigenvalue.
+
+Rebuilding R on the literal vertex-deleted graph (degrees recomputed) does
+NOT satisfy the identity; that comparison mode takes det(zI - R')/det(zI - R)
+from complex ``slogdet`` in place of p_i/p.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .charpoly import MODE_DELETED_GRAPH, MODE_SUBMATRIX, Polynomial, char_poly_numeric, \
-    deleted_graph_poly, principal_submatrix_poly
-from .graph import Graph, is_connected
-from .spectral import randic_matrix
+from .charpoly import MODE_DELETED_GRAPH, MODE_SUBMATRIX
+from .graph import Graph, delete_vertex, is_connected
+from .spectral import ZERO_EIGENVALUE_TOL, randic_matrix
+
+#: Lanczos stops when the next off-diagonal coefficient is below this: the
+#: Krylov space is then invariant up to rounding (||R||_2 = 1)
+BREAKDOWN_TOL = 1e-12
+
+#: a panel is accepted when this multiple of the difference between its
+#: one- and two-panel sums is within tolerance, and that multiple is the
+#: error it reports: while both sums are still far from the integral, their
+#: plain difference can understate the error of the finer one
+ERROR_SAFETY = 10.0
 
 
 @dataclass(frozen=True)
@@ -50,164 +66,144 @@ class CoulsonResult:
     evaluations: int
 
 
-def _imag_eval(coeffs_ascending: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sum_k c_k (ix)^k as (real, imaginary), vectorized over x."""
-    s = x * x
-    even = coeffs_ascending[0::2] * (-1.0) ** np.arange(len(coeffs_ascending[0::2]))
-    odd = coeffs_ascending[1::2] * (-1.0) ** np.arange(len(coeffs_ascending[1::2]))
-    re = np.zeros_like(x)
-    for c in even[::-1]:
-        re = re * s + c
-    im = np.zeros_like(x)
-    for c in odd[::-1]:
-        im = im * s + c
-    return re, x * im
+def lanczos_coefficients(r: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal ``a`` and squared off-diagonal ``b2`` of the Jacobi matrix of
+    Lanczos on the symmetric ``r`` from e_i, fully reorthogonalised; ``len(a)``
+    is the dimension of the Krylov space and ``len(b2) == len(a) - 1``."""
+    n = r.shape[0]
+    basis = np.zeros((n, n))  # row j is Lanczos vector j + 1
+    basis[0, i] = 1.0
+    a: list[float] = []
+    b2: list[float] = []
+    for k in range(n):
+        w = r @ basis[k]
+        a.append(float(basis[k] @ w))
+        done = basis[:k + 1]
+        # classical Gram-Schmidt twice keeps the basis orthogonal to rounding
+        w -= (done @ w) @ done
+        w -= (done @ w) @ done
+        norm2 = float(w @ w)
+        if k + 1 == n or norm2 <= BREAKDOWN_TOL * BREAKDOWN_TOL:
+            break
+        b2.append(norm2)
+        basis[k + 1] = w / math.sqrt(norm2)
+    return np.array(a), np.array(b2)
 
 
-def _snap_noise(coeffs: tuple[float, ...]) -> np.ndarray:
-    """Zero out coefficients drowned by the trace-recurrence rounding noise.
-
-    Multiple zero eigenvalues make the true low-order coefficients exactly
-    zero; leftover noise of order 1e-16 would otherwise dominate p(ix) for
-    tiny x and put a spurious spike into the integrand near the origin.
-    """
-    arr = np.array(coeffs, dtype=float)
-    cutoff = 1e-13 * max(1.0, float(np.max(np.abs(arr))))
-    arr[np.abs(arr) < cutoff] = 0.0
-    return arr
-
-
-class CoulsonIntegrand:
-    """Real and imaginary parts of 1 - ix p_sub(ix)/p(ix), stable on all of R."""
-
-    def __init__(self, poly_full: Polynomial, poly_sub: Polynomial):
-        if poly_sub.degree != poly_full.degree - 1:
-            raise ValueError("inner polynomial must have degree n-1")
-        full = _snap_noise(poly_full.coefficients)
-        sub = _snap_noise(poly_sub.coefficients)
-        # ascending coefficient orders for direct evaluation (|x| <= 1)
-        self._full_asc = full[::-1]
-        self._sub_asc = sub[::-1]
-        # the stored descending order doubles as the ascending coefficients
-        # of the reversed polynomial q(u) = u^n p(1/u), used for |x| > 1
-        self._full_rev = full
-        self._sub_rev = sub
-        self._origin = self._origin_limit()
-
-    def _origin_limit(self) -> float:
-        # 1 - lim ix p_sub(ix)/p(ix): with r and s the zero-root orders of
-        # p and p_sub, the limit is finite for s >= r-1 (interlacing
-        # guarantees this) and differs from 1 only at s = r-1
-        def order_and_value(asc: np.ndarray) -> tuple[int, float]:
-            tol = 1e-10 * max(1.0, float(np.max(np.abs(asc))))
-            for k, c in enumerate(asc):
-                if abs(c) > tol:
-                    return k, float(c)
-            return len(asc) - 1, float(asc[-1])
-
-        r, g0 = order_and_value(self._full_asc)
-        s, h0 = order_and_value(self._sub_asc)
-        if s == r - 1:
-            return 1.0 - h0 / g0
-        return 1.0
-
-    def parts(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _on_real_line(body, at_zero=None):
+    """body elementwise on arrays of any shape, at_zero() at x = 0 if given."""
+    def f(x):
         x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
-        re = np.empty_like(x)
-        im = np.empty_like(x)
-
         zero = x == 0.0
-        near = (np.abs(x) <= 1.0) & ~zero
-        far = np.abs(x) > 1.0
-        if np.any(near):
-            xn = x[near]
-            a, b = _imag_eval(self._sub_asc, xn)   # p_sub(ix) = a + ib
-            c, d = _imag_eval(self._full_asc, xn)  # p(ix) = c + id
-            denom = c * c + d * d
-            re[near] = 1.0 - xn * (a * d - b * c) / denom
-            im[near] = -xn * (a * c + b * d) / denom
-        if np.any(far):
-            u = 1.0 / x[far]
-            # q(-iu) = conj(q(iu)) for real coefficients
-            a, b = _imag_eval(self._sub_rev, u)
-            c, d = _imag_eval(self._full_rev, u)
-            b, d = -b, -d
-            denom = c * c + d * d
-            re[far] = 1.0 - (a * c + b * d) / denom
-            im[far] = -(b * c - a * d) / denom
-
-        if np.any(zero):
-            re[zero] = self._origin
-            im[zero] = 0.0
-        if scalar:
-            return float(re[0]), float(im[0])
-        return re, im
-
-    def __call__(self, x):
-        return self.parts(x)[0]
-
-    def imaginary(self, x):
-        return self.parts(x)[1]
+        if at_zero is None or not zero.any():
+            out = body(x)
+        else:
+            out = np.full(x.shape, at_zero())
+            out[~zero] = body(x[~zero])
+        return float(out) if out.ndim == 0 else out
+    return f
 
 
-def coulson_integrand(g: Graph, i: int, *, mode: str = MODE_SUBMATRIX) -> CoulsonIntegrand:
+def _resolvent_integrand(a: np.ndarray, b2: np.ndarray):
+    def body(x):
+        z = 1j * x
+        tail = np.zeros_like(z)  # b_(j-1)^2 / d_j, from the bottom up
+        for a_j, b2_j in zip(a[:0:-1], b2[::-1]):
+            tail = b2_j / (z - a_j - tail)
+        numerator = -a[0] - tail  # d_1 - z
+        return (numerator / (z + numerator)).real
+
+    def origin():
+        jacobi = np.diag(a) + np.diag(np.sqrt(b2), 1) + np.diag(np.sqrt(b2), -1)
+        theta, u = np.linalg.eigh(jacobi)
+        return 1.0 - float(np.sum(u[0, np.abs(theta) <= ZERO_EIGENVALUE_TOL] ** 2))
+
+    return _on_real_line(body, origin)
+
+
+def _deleted_graph_integrand(r: np.ndarray, r_deleted: np.ndarray):
+    """Re[1 - ix det(ixI - R')/det(ixI - R)]; at x = 0 only when R is
+    nonsingular (no quadrature node lies there)."""
+    def shifted_slogdet(z, m):  # slogdet(zI - m) for every z
+        shifted = z[..., None, None] * np.eye(len(m))
+        shifted -= m
+        return np.linalg.slogdet(shifted)
+
+    def body(x):
+        z = 1j * x
+        sign, logdet = shifted_slogdet(z, r)
+        sign_d, logdet_d = shifted_slogdet(z, r_deleted)
+        return (1.0 - z * (sign_d / sign) * np.exp(logdet_d - logdet)).real
+
+    return _on_real_line(body)
+
+
+def coulson_integrand(g: Graph, i: int, *, mode: str = MODE_SUBMATRIX):
+    """The integrand Re[1 - ix p_i(ix)/p(ix)] of vertex ``i`` as a function
+    of x, vectorized over arrays."""
     if not (0 <= i < g.n):
         raise ValueError(f"vertex {i} out of range")
-    full = char_poly_numeric(randic_matrix(g))
+    r = randic_matrix(g)
     if mode == MODE_SUBMATRIX:
-        sub = principal_submatrix_poly(g, i)
-    elif mode == MODE_DELETED_GRAPH:
-        sub = deleted_graph_poly(g, i)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return CoulsonIntegrand(full, sub)
+        return _resolvent_integrand(*lanczos_coefficients(r, i))
+    if mode == MODE_DELETED_GRAPH:
+        return _deleted_graph_integrand(
+            r, randic_matrix(delete_vertex(g, i), allow_isolated=True))
+    raise ValueError(f"unknown mode {mode!r}")
 
 
 # ------------------------------------------------------------- quadrature
 
-def _panel(f, a: float, b: float, nodes: np.ndarray, weights: np.ndarray) -> float:
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    return half * float(np.dot(weights, f(mid + half * nodes)))
+@functools.lru_cache(maxsize=8)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
+def _panel_sums(f, lo: np.ndarray, width: float, nodes, weights) -> np.ndarray:
+    """Gauss-Legendre sums of f over the panels [lo_k, lo_k + width], one call of f."""
+    half = 0.5 * width
+    return half * (f(np.add.outer(lo, half * (nodes + 1.0))) @ weights)
 
 
 def _refine(f, a, b, whole, tol, nodes, weights, levels_left):
-    mid = 0.5 * (a + b)
-    left = _panel(f, a, mid, nodes, weights)
-    right = _panel(f, mid, b, nodes, weights)
-    err = abs(left + right - whole)
+    half = 0.5 * (b - a)
+    left, right = _panel_sums(f, np.array([a, a + half]), half, nodes, weights)
+    err = ERROR_SAFETY * abs(left + right - whole)
     evals = 2 * len(nodes)
     if err <= tol:
         return left + right, err, True, evals
     if levels_left == 0:
         return left + right, err, False, evals
-    lv, le, lok, ln = _refine(f, a, mid, left, 0.5 * tol, nodes, weights, levels_left - 1)
-    rv, re_, rok, rn = _refine(f, mid, b, right, 0.5 * tol, nodes, weights, levels_left - 1)
+    lv, le, lok, ln = _refine(f, a, a + half, left, 0.5 * tol, nodes, weights, levels_left - 1)
+    rv, re_, rok, rn = _refine(f, a + half, b, right, 0.5 * tol, nodes, weights, levels_left - 1)
     return lv + rv, le + re_, lok and rok, evals + ln + rn
 
 
 def integrate_line(f, cfg: QuadratureConfig) -> CoulsonResult:
-    """Adaptive composite Gauss-Legendre of f over R via x = tan(t)."""
-    nodes, weights = np.polynomial.legendre.leggauss(cfg.nodes_per_panel)
+    """Adaptive composite Gauss-Legendre of f over R via x = tan(t) sin^2(t).
 
+    ``f`` is called on arrays of x of any shape."""
+    nodes, weights = _gauss_legendre(cfg.nodes_per_panel)
+
+    # x ~ t^3 near 0 and x ~ tan(t) near pi/2. An eigenvalue theta near 0 puts
+    # a peak of width |theta| at x = 0, |theta|^(1/3) wide in t; under x = tan(t)
+    # peaks 1e-3 wide were under-resolved alike at both levels of the estimate
     def transformed(t: np.ndarray) -> np.ndarray:
-        x = np.tan(t)
-        return f(x) * (1.0 + x * x)
+        s2 = np.sin(t) ** 2
+        return f(np.tan(t) * s2) * (s2 * (3.0 - 2.0 * s2) / np.cos(t) ** 2)
 
     breaks = (-math.pi / 2, -math.pi / 4, 0.0, math.pi / 4, math.pi / 2)
+    wholes = _panel_sums(transformed, np.array(breaks[:-1]), math.pi / 4, nodes, weights)
     total = 0.0
     err = 0.0
     ok = True
-    evals = 0
-    for a, b in zip(breaks, breaks[1:]):
-        whole = _panel(transformed, a, b, nodes, weights)
-        evals += len(nodes)
-        v, e, converged, n = _refine(
-            transformed, a, b, whole, cfg.tolerance / 4.0, nodes, weights,
-            cfg.max_levels,
-        )
+    evals = wholes.size * len(nodes)
+    for a, b, whole in zip(breaks, breaks[1:], wholes):
+        v, e, converged, n = _refine(transformed, a, b, whole, cfg.tolerance / 4.0,
+                                     nodes, weights, cfg.max_levels)
         total += v
         err += e
         ok = ok and converged

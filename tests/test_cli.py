@@ -4,12 +4,14 @@ These call main() in-process and capture stdout/stderr, so they exercise
 argument parsing, report building, and both output formats without
 spawning subprocesses.
 """
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+from randic_energy import cli
 from randic_energy.cli import main
 
 P4_TEXT = "n 4\n1 2\n2 3\n3 4\n"
@@ -81,6 +83,45 @@ def test_energy_reports_eigen_diagnostics_and_series_tail_bound(capsys):
         assert 0.0 <= routes[name]["orthogonality"] < 1e-12
     assert set(routes["series"]) == {"total", "terms", "tail_bound"}
     assert routes["deltas"]["eigen/series"] <= routes["series"]["tail_bound"]
+
+
+def test_energy_reports_coulson_diagnostics(capsys):
+    code, report, _ = run_json(capsys, "energy", "--family", "path", "--n", "6",
+                               "--routes", "eigen,coulson")
+    assert code == 0
+    coulson = report["routes"]["coulson"]
+    _, single, _ = run_json(capsys, "coulson", "--family", "path", "--n", "6")
+    per_vertex = single["results"]
+    assert coulson["evaluations"] == sum(r["evaluations"] for r in per_vertex)
+    assert coulson["error_estimate"] == max(r["error_estimate"] for r in per_vertex)
+    assert 0.0 < coulson["error_estimate"] <= coulson["tolerance"]
+
+
+def test_series_route_judged_against_its_tail_bound(capsys, demo7_file):
+    # demo7 has a zero eigenvalue, where the series error is close to its
+    # tail bound (0.04 at 200 terms), far above the default --tol
+    code, report, _ = run_json(capsys, "energy", "--file", demo7_file,
+                               "--routes", "eigen,series")
+    assert code == 0
+    routes = report["routes"]
+    assert routes["deltas"]["eigen/series"] > 1e-2
+    assert routes["deltas"]["eigen/series"] <= routes["series"]["tail_bound"]
+    assert report["warnings"] == []
+
+
+def test_series_miss_beyond_tail_bound_warns(capsys, monkeypatch, demo7_file):
+    real = cli.series_energies
+
+    def off_by_more_than_the_bound(g):
+        ser = real(g)
+        shift = 2.0 * ser.tail_bound
+        return dataclasses.replace(ser, energies=tuple(e + shift for e in ser.energies))
+
+    monkeypatch.setattr(cli, "series_energies", off_by_more_than_the_bound)
+    code, report, _ = run_json(capsys, "energy", "--file", demo7_file,
+                               "--routes", "eigen,series")
+    assert code == 0
+    assert [w for w in report["warnings"] if "eigen and series disagree" in w]
 
 
 @pytest.mark.parametrize("argv", [
@@ -195,8 +236,10 @@ def test_coulson_matches_reference(capsys, demo7_file):
 
 
 def test_coulson_unreachable_tolerance_exits_3(capsys):
+    # below what rounding lets two panel sums agree to; on star(12) the
+    # route reaches 1e-14 (its error there is 7e-17)
     code, report, _ = run_json(capsys, "coulson", "--family", "star", "--n", "12",
-                               "--tol", "1e-14")
+                               "--tol", "1e-16")
     assert code == 3
     assert any(not r["converged"] for r in report["results"])
     assert report["warnings"]

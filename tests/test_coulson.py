@@ -6,17 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randic_energy.charpoly import MODE_DELETED_GRAPH, Polynomial
+from randic_energy.charpoly import MODE_DELETED_GRAPH
 from randic_energy.coulson import (
-    CoulsonIntegrand,
     QuadratureConfig,
     coulson_integrand,
     coulson_vertex_energy,
     integrate_line,
+    lanczos_coefficients,
 )
 from randic_energy.energy import graph_energy, vertex_energies
 from randic_energy.graph import Graph, parse_edge_list
 from randic_energy.random_graphs import random_connected_graph
+from randic_energy.spectral import randic_matrix
 
 DEMO7 = parse_edge_list("n 7\n1 2\n2 3\n3 4\n2 4\n1 4\n4 5\n5 6\n4 6\n4 7\n")
 
@@ -31,6 +32,11 @@ def star(n):
 
 def cycle(n):
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def complete_bipartite(n1, n2):
+    return Graph.from_edges(n1 + n2, [(u, v) for u in range(n1)
+                                      for v in range(n1, n1 + n2)])
 
 
 # ------------------------------------------------------------------- config
@@ -73,6 +79,10 @@ def test_integrand_decays():
     assert abs(f(-1e8)) < 1e-12
     # no overflow far out
     assert np.isfinite(f(1e15))
+    # the tail is (R^2)_ii / x^2 to full relative precision: nothing cancels
+    r = randic_matrix(DEMO7)
+    for x in (1e6, -1e8, 1e12):
+        assert f(x) * x * x == pytest.approx((r @ r)[3, 3], rel=1e-9)
 
 
 def test_integrand_origin_nonsingular():
@@ -90,25 +100,27 @@ def test_integrand_origin_limit_with_zero_eigenvalue():
     assert f_mid(0.0) == pytest.approx(f_mid(1e-7), abs=1e-6)
 
 
-def test_integrand_even_and_imaginary_odd():
+def test_integrand_even():
     f = coulson_integrand(DEMO7, 1)
     xs = np.array([0.3, 0.9, 1.5, 7.0, 42.0])
-    re_pos, im_pos = f.parts(xs)
-    re_neg, im_neg = f.parts(-xs)
-    np.testing.assert_allclose(re_pos, re_neg, atol=1e-9)
-    np.testing.assert_allclose(im_pos + im_neg, 0.0, atol=1e-9)
+    np.testing.assert_allclose(f(xs), f(-xs), atol=1e-15)
 
 
-def test_integrand_continuous_across_switchover():
-    # |x| = 1 is where evaluation swaps to the reversed coefficients
-    f = coulson_integrand(DEMO7, 4)
-    assert f(1.0 - 1e-9) == pytest.approx(f(1.0 + 1e-9), abs=1e-7)
-    assert f(-1.0 - 1e-9) == pytest.approx(f(-1.0 + 1e-9), abs=1e-7)
-
-
-def test_integrand_degree_mismatch_rejected():
-    with pytest.raises(ValueError, match="degree"):
-        CoulsonIntegrand(Polynomial((1.0, 0.0, -1.0)), Polynomial((1.0, 0.0, 0.0)))
+def test_lanczos_stops_early_on_star():
+    # from a leaf the Krylov space is spanned by the leaf, the hub and the
+    # sum of the other leaves; from the hub, by the hub and that sum
+    r = randic_matrix(star(40))
+    hub, _ = lanczos_coefficients(r, 0)
+    leaf, b2 = lanczos_coefficients(r, 7)
+    assert len(hub) == 2
+    assert len(leaf) == 3 and len(b2) == 2
+    # K_n from a vertex spans it and the sum of the others; here rounding
+    # leaves a remainder (about 1e-31) where the star's is exactly zero
+    k50 = randic_matrix(Graph.from_edges(50, [(u, v) for u in range(50)
+                                              for v in range(u + 1, 50)]))
+    assert len(lanczos_coefficients(k50, 0)[0]) == 2
+    # the Krylov space of an end of a path is the whole space
+    assert len(lanczos_coefficients(randic_matrix(path(9)), 0)[0]) == 9
 
 
 # ------------------------------------------------------------------- energy
@@ -157,6 +169,25 @@ def test_route_agreement_random(seed, n):
         assert res.value == pytest.approx(eig[i], abs=max(1e-5, res.error_estimate))
 
 
+@pytest.mark.parametrize("label, g", [
+    *[(f"G({n}, 0.4)", random_connected_graph(random.Random(n), n)) for n in (20, 50, 100)],
+    # under x = tan(t) alone vertex 51 converged 1.45e-7 off
+    ("G(150, 0.1)", random_connected_graph(random.Random(150_001), 150, 0.1)),
+    ("star(150)", star(150)),            # 148 zero eigenvalues
+    ("K(40, 60)", complete_bipartite(40, 60)),
+    ("path(101)", path(101)),            # one zero eigenvalue, spectrum down to 0.03
+])
+def test_every_vertex_within_tolerance_at_sizes_in_use(label, g):
+    cfg = QuadratureConfig()
+    lam, y = np.linalg.eigh(randic_matrix(g))
+    reference = (y * y) @ np.abs(lam)
+    for i in range(g.n):
+        res = coulson_vertex_energy(g, i, cfg)
+        assert res.converged, (label, i)
+        assert abs(res.value - reference[i]) <= cfg.tolerance, (label, i)
+        assert res.error_estimate <= cfg.tolerance, (label, i)
+
+
 def test_vertex_sum_reproduces_graph_energy():
     for g in [DEMO7, cycle(6), star(7)]:
         total = sum(coulson_vertex_energy(g, i).value for i in range(g.n))
@@ -173,8 +204,7 @@ def test_star_leaf_with_repeated_zero_eigenvalue():
     assert res.value == pytest.approx(1.0 / 6.0, abs=1e-9)
     f = coulson_integrand(g, 1)
     xs = np.array([1e-6, 1e-5, 1e-4, 1e-3])
-    re, _ = f.parts(xs)
-    assert np.allclose(re, 1.0 / 6.0 / (1.0 + xs * xs), atol=1e-9)
+    assert np.allclose(f(xs), 1.0 / 6.0 / (1.0 + xs * xs), atol=1e-9)
 
 
 def test_tightening_tolerance_does_not_hurt():
