@@ -23,9 +23,8 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 from randic_energy import (  # noqa: E402
     FamilyKind,
     FamilySpec,
+    bounds_report,
     generate,
-    lower_holder,
-    vertex_energies,
 )
 from randic_energy.random_graphs import random_suite  # noqa: E402
 
@@ -64,17 +63,16 @@ def main(argv=None) -> int:
     near_equal = []
     worst_margin = None  # (margin, label, vertex) with margin = energy - bound
     for label, g in cases:
-        energies = vertex_energies(g).energies
-        for i in range(g.n):
-            bound = lower_holder(g, i)
-            margin = energies[i] - bound
+        for vb in bounds_report(g).vertices:
+            holder = vb.bound("lower_holder")
+            margin = holder.slack
             checked += 1
             if margin < -TOL:
-                violations.append((label, i + 1, bound, energies[i]))
+                violations.append((label, vb.vertex + 1, holder.value, vb.energy))
             elif abs(margin) <= 1e-7:
-                near_equal.append((label, i + 1))
+                near_equal.append((label, vb.vertex + 1))
             if worst_margin is None or margin < worst_margin[0]:
-                worst_margin = (margin, label, i + 1)
+                worst_margin = (margin, label, vb.vertex + 1)
 
     print(f"{checked} vertices over {len(cases)} graphs, tolerance {TOL:g}")
     print(f"violations: {len(violations)}")

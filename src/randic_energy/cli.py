@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -261,7 +262,8 @@ def _run_energy(job, args, warnings) -> dict:
         meta["series"] = {"total": ser.total, "terms": ser.terms,
                           "tail_bound": ser.tail_bound}
     if "coulson" in routes:
-        cfg = QuadratureConfig(tolerance=args.tol if args.command == "coulson" else 1e-7)
+        # --tol here is the route agreement threshold, not a quadrature target
+        cfg = QuadratureConfig()
         quadratures = [coulson_vertex_energy(g, i, cfg) for i in range(g.n)]
         converged = all(res.converged for res in quadratures)
         per_route["coulson"] = [res.value for res in quadratures]
@@ -625,20 +627,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_tol(args) -> None:
-    if args.tol is not None:
-        if args.tol <= 0:
-            raise CliError("--tol must be positive")
-        return
     env = os.environ.get("RANDIC_TOL")
-    if env:
+    if args.tol is not None:
+        source = "--tol"
+    elif env:
+        source = "RANDIC_TOL"
         try:
             args.tol = float(env)
         except ValueError:
             raise CliError(f"RANDIC_TOL={env!r} is not a number")
-        if args.tol <= 0:
-            raise CliError("RANDIC_TOL must be positive")
+    else:
+        args.tol = DEFAULT_TOL[args.command]
         return
-    args.tol = DEFAULT_TOL[args.command]
+    # nan passes no comparison and inf passes every one, so neither is a tolerance
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise CliError(f"{source} must be positive and finite")
 
 
 def main(argv=None) -> int:

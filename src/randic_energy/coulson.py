@@ -52,8 +52,8 @@ class QuadratureConfig:
     def __post_init__(self):
         if self.nodes_per_panel < 8:
             raise ValueError("need at least 8 nodes per panel")
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
+            raise ValueError("tolerance must be positive and finite")
         if self.max_levels < 1:
             raise ValueError("need at least one refinement level")
 

@@ -234,14 +234,6 @@ def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     return Graph.from_edges(g1.n + g2.n, edges)
 
 
-def common_neighbors(g: Graph, i: int, j: int) -> frozenset[int]:
-    """Vertices adjacent to both i and j (for i == j: the neighbors of i)."""
-    for v in (i, j):
-        if not (0 <= v < g.n):
-            raise ValueError(f"vertex {v} out of range for n={g.n}")
-    return frozenset(g.adjacency[i]) & frozenset(g.adjacency[j])
-
-
 def relabel(g: Graph, permutation) -> Graph:
     """Graph with vertex i renamed to permutation[i]."""
     perm = list(permutation)

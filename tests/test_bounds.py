@@ -7,18 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from randic_energy.bounds import (
+    LOWER_BOUNDS,
+    UPPER_BOUNDS,
     adjacent_product_lower,
     bounds_report,
     general_randic_index,
-    lower_holder,
-    lower_r2,
-    r4_diag,
-    s_value,
-    upper_cauchy_schwarz,
-    upper_refined,
     upper_regular,
-    upper_series2,
-    upper_series3,
 )
 from randic_energy.energy import graph_energy, vertex_energies
 from randic_energy.graph import Graph, parse_edge_list
@@ -46,24 +40,32 @@ def complete_bipartite(n1, n2):
 
 # ------------------------------------------------------------- S and Q values
 
+def vertex(g, i):
+    return bounds_report(g).vertices[i]
+
+
+def value(g, i, name):
+    return vertex(g, i).bound(name).value
+
+
 def test_s_value_examples():
-    assert s_value(star(6), 0) == pytest.approx(1.0, abs=1e-15)
-    assert s_value(DEMO7, 6) == pytest.approx(1.0 / 6.0, abs=1e-15)
-    for i in range(5):
-        assert s_value(complete(5), i) == pytest.approx(0.25, abs=1e-15)
+    assert vertex(star(6), 0).s == pytest.approx(1.0, abs=1e-15)
+    assert vertex(DEMO7, 6).s == pytest.approx(1.0 / 6.0, abs=1e-15)
+    for vb in bounds_report(complete(5)).vertices:
+        assert vb.s == pytest.approx(0.25, abs=1e-15)
 
 
 def test_s_value_is_r2_diagonal():
     for seed in range(8):
         g = random_connected_graph(random.Random(seed), 4 + seed)
         r = randic_matrix(g)
-        for i in range(g.n):
-            assert s_value(g, i) == pytest.approx(power_diag(r, 2, i), abs=1e-12)
+        for vb in bounds_report(g).vertices:
+            assert vb.s == pytest.approx(power_diag(r, 2, vb.vertex), abs=1e-12)
 
 
 def test_r4_diag_k2():
     g = Graph.from_edges(2, [(0, 1)])
-    assert r4_diag(g, 0) == pytest.approx(1.0, abs=1e-15)
+    assert vertex(g, 0).q == pytest.approx(1.0, abs=1e-15)
 
 
 def test_r4_diag_c4_matrix_oracle():
@@ -72,53 +74,94 @@ def test_r4_diag_c4_matrix_oracle():
     g = cycle(4)
     r = randic_matrix(g)
     direct = np.linalg.matrix_power(r, 4)
-    for i in range(4):
-        assert direct[i, i] == pytest.approx(0.5, abs=1e-14)
-        assert r4_diag(g, i) == pytest.approx(0.5, abs=1e-14)
+    for vb in bounds_report(g).vertices:
+        assert direct[vb.vertex, vb.vertex] == pytest.approx(0.5, abs=1e-14)
+        assert vb.q == pytest.approx(0.5, abs=1e-14)
 
 
 def test_r4_diag_is_r4_diagonal():
-    for seed in range(8):
-        g = random_connected_graph(random.Random(100 + seed), 4 + seed)
+    graphs = [random_connected_graph(random.Random(100 + seed), 4 + seed)
+              for seed in range(8)]
+    for g in graphs + [DEMO7]:
         r = randic_matrix(g)
-        for i in range(g.n):
-            assert r4_diag(g, i) == pytest.approx(power_diag(r, 4, i), abs=1e-10)
-    for i in range(DEMO7.n):
-        assert r4_diag(DEMO7, i) == pytest.approx(
-            power_diag(randic_matrix(DEMO7), 4, i), abs=1e-10
-        )
+        for vb in bounds_report(g).vertices:
+            assert vb.q == pytest.approx(power_diag(r, 4, vb.vertex), abs=1e-10)
 
 
 def test_s_q_ranges():
     for seed in range(10):
         g = random_connected_graph(random.Random(seed), 2 + seed)
-        for i in range(g.n):
-            assert 0.0 < s_value(g, i) <= 1.0 + 1e-12
-            assert r4_diag(g, i) >= 0.0
+        for vb in bounds_report(g).vertices:
+            assert 0.0 < vb.s <= 1.0 + 1e-12
+            assert vb.q >= 0.0
+
+
+# ------------------------------------------------------------- formula table
+
+def test_formula_tables_name_every_reported_bound_in_order():
+    assert list(UPPER_BOUNDS) == ["unit", "cauchy_schwarz", "refined", "series2", "series3"]
+    assert list(LOWER_BOUNDS) == ["lower_r2", "lower_holder"]
+    vb = vertex(DEMO7, 0)
+    assert [b.name for b in vb.bounds] == list(UPPER_BOUNDS) + list(LOWER_BOUNDS)
+    assert [b.kind for b in vb.bounds] == ["upper"] * 5 + ["lower"] * 2
+
+
+def test_refined_rejects_negative_radicand():
+    s, q = np.array([0.3, 0.1]), np.array([0.5, 0.5])
+    with pytest.raises(ValueError, match="negative radicand .* at vertex 1"):
+        UPPER_BOUNDS["refined"](s, q, np.array([0.2, 0.5]))
+    # a rounding-sized negative radicand is clamped to zero instead
+    got = UPPER_BOUNDS["refined"](np.array([0.5 - 1e-13]), q[:1], np.array([0.5]))
+    assert got.tolist() == [0.5]
+
+
+@pytest.mark.parametrize("bad_q", [0.0, -1e-3])
+def test_holder_rejects_nonpositive_q(bad_q):
+    s, gamma = np.array([0.5, 0.5]), np.array([0.25, 0.25])
+    with pytest.raises(ValueError, match=r"\(R\^4\)_11 must be positive"):
+        LOWER_BOUNDS["lower_holder"](s, np.array([0.5, bad_q]), gamma)
+
+
+def test_report_validates_the_graph_first():
+    with pytest.raises(ValueError, match="connected"):
+        bounds_report(Graph.from_edges(4, [(0, 1), (2, 3)]))
+    with pytest.raises(ValueError, match="at least 2 vertices"):
+        bounds_report(Graph.from_edges(1, []))
+
+
+def test_report_holds_python_scalars():
+    # the CLI's JSON encoder rejects numpy scalars such as numpy.bool_
+    rep = bounds_report(star(6))
+    assert type(rep.graph_upper) is float and type(rep.holder_valid) is bool
+    for vb in rep.vertices:
+        assert type(vb.s) is float and type(vb.q) is float
+        for b in vb.bounds:
+            assert type(b.value) is float and type(b.slack) is float
+            assert type(b.equal) is bool and type(b.asserted) is bool
 
 
 # ------------------------------------------------------------- upper bounds
 
 def test_cauchy_schwarz_examples():
-    assert upper_cauchy_schwarz(star(7), 0) == pytest.approx(1.0, abs=1e-15)
-    assert upper_cauchy_schwarz(DEMO7, 6) == pytest.approx(math.sqrt(1 / 6), abs=1e-12)
+    assert value(star(7), 0, "cauchy_schwarz") == pytest.approx(1.0, abs=1e-15)
+    assert value(DEMO7, 6, "cauchy_schwarz") == pytest.approx(math.sqrt(1 / 6), abs=1e-12)
     g = Graph.from_edges(2, [(0, 1)])
-    assert upper_cauchy_schwarz(g, 0) == pytest.approx(1.0, abs=1e-15)
+    assert value(g, 0, "cauchy_schwarz") == pytest.approx(1.0, abs=1e-15)
 
 
 def test_refined_examples():
     # K_4: 1/4 + sqrt((1/3 - 1/4)(3/4)) = 1/2, which the actual 2/4 attains
-    assert upper_refined(complete(4), 0) == pytest.approx(0.5, abs=1e-12)
-    assert upper_refined(star(9), 0) == pytest.approx(1.0, abs=1e-12)
+    assert value(complete(4), 0, "refined") == pytest.approx(0.5, abs=1e-12)
+    assert value(star(9), 0, "refined") == pytest.approx(1.0, abs=1e-12)
     expected_v7 = 1 / 18 + math.sqrt((1 / 6 - 1 / 18) * (1 - 1 / 18))
-    assert upper_refined(DEMO7, 6) == pytest.approx(expected_v7, abs=1e-12)
+    assert value(DEMO7, 6, "refined") == pytest.approx(expected_v7, abs=1e-12)
     assert expected_v7 == pytest.approx(0.3795, abs=5e-5)
 
 
 def test_refined_matches_regular_form_on_regular_graphs():
     for g, k in [(cycle(6), 2), (complete(5), 4), (cycle(9), 2)]:
-        for i in range(g.n):
-            assert upper_refined(g, i) == pytest.approx(
+        for vb in bounds_report(g).vertices:
+            assert vb.bound("refined").value == pytest.approx(
                 upper_regular(g.n, k), abs=1e-12
             )
 
@@ -142,41 +185,41 @@ def test_upper_regular_validates_degree():
 
 
 def test_series_bounds_examples():
-    assert upper_series2(star(5), 0) == pytest.approx(1.0, abs=1e-15)
-    assert upper_series2(DEMO7, 6) == pytest.approx(7 / 12, abs=1e-15)
+    assert value(star(5), 0, "series2") == pytest.approx(1.0, abs=1e-15)
+    assert value(DEMO7, 6, "series2") == pytest.approx(7 / 12, abs=1e-15)
     g = Graph.from_edges(2, [(0, 1)])
-    assert upper_series3(g, 0) == pytest.approx(1.0, abs=1e-15)
+    assert value(g, 0, "series3") == pytest.approx(1.0, abs=1e-15)
 
 
 def test_series3_below_series2():
     for seed in range(12):
         g = random_connected_graph(random.Random(seed), 3 + seed)
-        for i in range(g.n):
-            assert upper_series3(g, i) <= upper_series2(g, i) + 1e-12
+        for vb in bounds_report(g).vertices:
+            assert vb.bound("series3").value <= vb.bound("series2").value + 1e-12
 
 
 # ------------------------------------------------------------- lower bounds
 
 def test_lower_r2_examples():
-    assert lower_r2(complete_bipartite(2, 3), 0) == pytest.approx(0.5, abs=1e-15)
-    assert lower_r2(star(8), 1) == pytest.approx(1 / 7, abs=1e-15)
-    assert lower_r2(DEMO7, 6) == pytest.approx(1 / 6, abs=1e-15)
+    assert value(complete_bipartite(2, 3), 0, "lower_r2") == pytest.approx(0.5, abs=1e-15)
+    assert value(star(8), 1, "lower_r2") == pytest.approx(1 / 7, abs=1e-15)
+    assert value(DEMO7, 6, "lower_r2") == pytest.approx(1 / 6, abs=1e-15)
 
 
 def test_lower_r2_equality_on_complete_bipartite():
     g = complete_bipartite(2, 3)
     vec = vertex_energies(g)
-    for i in range(g.n):
-        assert lower_r2(g, i) == pytest.approx(vec.energies[i], abs=1e-10)
+    for vb in bounds_report(g).vertices:
+        assert vb.bound("lower_r2").value == pytest.approx(vec.energies[vb.vertex], abs=1e-10)
 
 
 def test_holder_examples():
     g = Graph.from_edges(2, [(0, 1)])
-    assert lower_holder(g, 0) == pytest.approx(1.0, abs=1e-14)
-    assert lower_holder(star(6), 0) == pytest.approx(1.0, abs=1e-14)
+    assert value(g, 0, "lower_holder") == pytest.approx(1.0, abs=1e-14)
+    assert value(star(6), 0, "lower_holder") == pytest.approx(1.0, abs=1e-14)
     # C_4 = K_{2,2}: S = 1/2, Q = 1/2 gives (1/2)^{3/2}/sqrt(1/2) = 1/2,
     # exactly the actual energy (complete-bipartite equality case)
-    got = lower_holder(cycle(4), 0)
+    got = value(cycle(4), 0, "lower_holder")
     assert got == pytest.approx(0.5, abs=1e-14)
     assert got == pytest.approx(vertex_energies(cycle(4)).energies[0], abs=1e-10)
 
@@ -187,8 +230,8 @@ def test_holder_holds_on_random_suite():
     for seed in range(25):
         g = random_connected_graph(random.Random(seed), 2 + seed % 12)
         vec = vertex_energies(g)
-        for i in range(g.n):
-            assert lower_holder(g, i) <= vec.energies[i] + 1e-9
+        for vb in bounds_report(g).vertices:
+            assert vb.bound("lower_holder").value <= vec.energies[vb.vertex] + 1e-9
 
 
 # ----------------------------------------------------------- pairwise bound
@@ -242,7 +285,9 @@ def test_graph_level_sandwich(seed, n):
     g = random_connected_graph(random.Random(seed), n)
     re = graph_energy(g)
     lower = 2.0 * general_randic_index(g, -1.0)
-    upper = sum(math.sqrt(s_value(g, i)) for i in range(g.n))
+    rep = bounds_report(g)
+    upper = sum(math.sqrt(vb.s) for vb in rep.vertices)
+    assert rep.graph_upper == pytest.approx(upper, abs=1e-12)
     assert lower <= re + 1e-9
     assert re <= upper + 1e-9
 
@@ -347,8 +392,8 @@ def test_cauchy_schwarz_usually_tighter_than_series2():
     wins = ties = 0
     for seed in range(40):
         g = random_connected_graph(random.Random(seed), 2 + seed % 12)
-        for i in range(g.n):
-            cs, s2 = upper_cauchy_schwarz(g, i), upper_series2(g, i)
+        for vb in bounds_report(g).vertices:
+            cs, s2 = vb.bound("cauchy_schwarz").value, vb.bound("series2").value
             assert cs <= s2 + 1e-12
             if cs < s2 - 1e-12:
                 wins += 1

@@ -7,6 +7,7 @@ spawning subprocesses.
 import dataclasses
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -191,6 +192,41 @@ def test_bounds_report_flags_star_center(capsys):
     assert tail["lower"] <= tail["energy_total"] <= tail["upper"] + 1e-9
 
 
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+DEMO7_PATH = str(pathlib.Path(__file__).parent.parent / "data" / "demo7.edges")
+
+
+def _assert_same_report(got, want, path="report"):
+    """Same keys in the same order, same strings, ints and flags, and every
+    float within 1e-14 of the golden value."""
+    assert type(got) is type(want), path
+    if isinstance(want, dict):
+        assert list(got) == list(want), path
+        for key in want:
+            _assert_same_report(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for k, (a, b) in enumerate(zip(got, want)):
+            _assert_same_report(a, b, f"{path}[{k}]")
+    elif isinstance(want, float):
+        assert abs(got - want) <= 1e-14, (path, got, want)
+    else:
+        assert got == want, path
+
+
+@pytest.mark.parametrize("golden, argv", [
+    ("bounds_demo7.json", ("--file", DEMO7_PATH)),
+    ("bounds_friendship3.json", ("--family", "friendship", "--triangles", "3")),
+    ("bounds_star6.json", ("--family", "star", "--n", "6")),
+    ("bounds_k23.json", ("--family", "complete_bipartite", "--n1", "2", "--n2", "3")),
+])
+def test_bounds_report_matches_golden(capsys, golden, argv):
+    code, report, _ = run_json(capsys, "bounds", *argv)
+    assert code == 0
+    want = json.loads((GOLDEN / golden).read_text())
+    _assert_same_report(report, want)
+
+
 # --------------------------------------------------------------- charpoly
 
 def test_charpoly_two_routes_agree(capsys, p4_file):
@@ -369,6 +405,26 @@ def test_flag_tolerance_beats_env(capsys, monkeypatch):
                                "--routes", "eigen,coulson", "--tol", "1e-3")
     assert code == 0
     assert not report["warnings"]
+    # in energy, --tol is the agreement threshold; the quadrature keeps its own
+    assert report["routes"]["coulson"]["tolerance"] == 1e-7
+
+
+@pytest.mark.parametrize("command", ["energy", "bounds", "coulson"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-3"])
+def test_flag_tolerance_must_be_positive_and_finite(capsys, command, tol):
+    code, out, err = run(capsys, command, "--family", "star", "--n", "5", f"--tol={tol}")
+    assert code == 2
+    assert out == ""
+    assert "--tol must be positive and finite" in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+def test_env_tolerance_must_be_positive_and_finite(capsys, monkeypatch, tol):
+    monkeypatch.setenv("RANDIC_TOL", tol)
+    code, out, err = run(capsys, "coulson", "--family", "star", "--n", "5")
+    assert code == 2
+    assert out == ""
+    assert "RANDIC_TOL must be positive and finite" in err
 
 
 def test_help_exits_zero(capsys):

@@ -44,8 +44,9 @@ def complete_bipartite(n1, n2):
 def test_config_validation():
     with pytest.raises(ValueError):
         QuadratureConfig(nodes_per_panel=4)
-    with pytest.raises(ValueError):
-        QuadratureConfig(tolerance=0.0)
+    for tolerance in (0.0, -1e-3, math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            QuadratureConfig(tolerance=tolerance)
     with pytest.raises(ValueError):
         QuadratureConfig(max_levels=0)
 

@@ -7,7 +7,6 @@ from randic_energy.graph import (
     Graph,
     GraphParseError,
     bipartition,
-    common_neighbors,
     connected_components,
     delete_vertex,
     disjoint_union,
@@ -162,13 +161,6 @@ def test_disjoint_union_shifts():
     g = disjoint_union(path(2), path(3))
     assert g.n == 5
     assert g.edges == ((0, 1), (2, 3), (3, 4))
-
-
-def test_common_neighbors():
-    g = cycle(4)
-    assert common_neighbors(g, 0, 2) == frozenset({1, 3})
-    assert common_neighbors(g, 0, 0) == frozenset({1, 3})
-    assert common_neighbors(g, 0, 1) == frozenset()
 
 
 def test_relabel_preserves_structure():
