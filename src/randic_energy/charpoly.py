@@ -48,12 +48,6 @@ class Polynomial:
             acc = acc * x + c
         return acc
 
-    def derivative(self) -> "Polynomial":
-        n = self.degree
-        if n == 0:
-            return Polynomial((0.0,))
-        return Polynomial(tuple(c * (n - k) for k, c in enumerate(self.coefficients[:-1])))
-
 
 @dataclass(frozen=True)
 class ElementarySubgraph:

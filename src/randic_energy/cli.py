@@ -75,6 +75,10 @@ class CliError(Exception):
     """Bad request; maps to exit code 2."""
 
 
+class NonFiniteError(ValueError):
+    """A report holds NaN or an infinity, which JSON cannot carry; maps to exit code 3."""
+
+
 # ----------------------------------------------------------- serialization
 
 def _json(obj) -> str:
@@ -82,7 +86,8 @@ def _json(obj) -> str:
 
     The stdlib encoder uses shortest-repr floats; fixed 17-digit output is
     chosen instead so that reports diff cleanly across Python versions
-    while still round-tripping bit-exactly.
+    while still round-tripping bit-exactly. A NaN or infinite float raises
+    ``NonFiniteError``: ``json.loads`` rejects the bare ``nan`` token.
     """
     if obj is None:
         return "null"
@@ -95,10 +100,12 @@ def _json(obj) -> str:
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise NonFiniteError(f"report value {obj} has no JSON form")
         out = "%.17g" % obj
         # keep the token a float so parsing recovers the value bit-exactly
         # (otherwise 1.0 emits as "1" and -0.0 as "-0", both read back as int)
-        if not any(c in out for c in ".einf"):
+        if not any(c in out for c in ".e"):
             out += ".0"
         return out
     if isinstance(obj, dict):
@@ -664,24 +671,23 @@ def main(argv=None) -> int:
             report = _RUNNERS[args.command](job, args, list(warnings))
             exit_code = max(exit_code, report.pop("_exit", EXIT_OK))
             reports.append(report)
+        out = []
+        for report in reports:
+            if args.format == "json":
+                out.append(_json(report))
+            else:
+                out.append(_render_table(report))
+                for w in report["warnings"]:
+                    print(f"warning: {w}", file=sys.stderr)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except (ConvergenceError, NonFiniteError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except (GraphParseError, DisconnectedGraphError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except ConvergenceError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-
-    out = []
-    for report in reports:
-        if args.format == "json":
-            out.append(_json(report))
-        else:
-            out.append(_render_table(report))
-            for w in report["warnings"]:
-                print(f"warning: {w}", file=sys.stderr)
     print("\n\n".join(out) if args.format == "table" else "\n".join(out))
     return exit_code
 

@@ -10,8 +10,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .graph import Graph
 
 
@@ -204,17 +202,3 @@ def friendship_spectrum(triangles: int) -> tuple[tuple[float, int], ...]:
         raise ValueError("need at least one triangle")
     pairs = [(1.0, 1), (0.5, triangles - 1), (-0.5, triangles + 1)]
     return tuple((lam, mult) for lam, mult in pairs if mult > 0)
-
-
-def friendship_hub_weights() -> tuple[float, float, float]:
-    """Spectral weights of the hub vertex across the three eigenvalue groups.
-
-    Solves the moment system sum_g x_g lambda_g^k = m_k for k = 0, 1, 2 with
-    lambda = (1, 1/2, -1/2) and hub moments (1, 0, 1/2); the solution is
-    (1/3, 0, 2/3) for every triangle count.
-    """
-    lams = np.array([1.0, 0.5, -0.5])
-    vander = np.vstack([lams ** k for k in range(3)])
-    moments = np.array([1.0, 0.0, 0.5])
-    x = np.linalg.solve(vander, moments)
-    return float(x[0]), float(x[1]), float(x[2])

@@ -234,14 +234,6 @@ def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     return Graph.from_edges(g1.n + g2.n, edges)
 
 
-def relabel(g: Graph, permutation) -> Graph:
-    """Graph with vertex i renamed to permutation[i]."""
-    perm = list(permutation)
-    if sorted(perm) != list(range(g.n)):
-        raise ValueError("not a permutation of 0..n-1")
-    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
-
-
 # Structural classifiers used by the bound equality-case detectors.
 
 def is_complete(g: Graph) -> bool:

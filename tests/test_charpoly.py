@@ -57,12 +57,6 @@ def test_polynomial_evaluation():
     assert p.degree == 2
 
 
-def test_polynomial_derivative():
-    p = Polynomial((1.0, 0.0, -0.75, -0.25))  # x^3 - 0.75x - 0.25
-    dp = p.derivative()
-    assert dp.coefficients == (3.0, 0.0, -0.75)
-
-
 # ------------------------------------------------------------- numeric route
 
 def test_numeric_k2():

@@ -125,6 +125,22 @@ def test_series_miss_beyond_tail_bound_warns(capsys, monkeypatch, demo7_file):
     assert [w for w in report["warnings"] if "eigen and series disagree" in w]
 
 
+def test_non_finite_report_value_exits_3_without_output(capsys, monkeypatch, demo7_file):
+    real = cli.series_energies
+
+    def nan_at_one_vertex(g):
+        ser = real(g)
+        return dataclasses.replace(ser, energies=(math.nan,) + ser.energies[1:])
+
+    monkeypatch.setattr(cli, "series_energies", nan_at_one_vertex)
+    code, out, err = run(capsys, "energy", "--file", demo7_file,
+                         "--routes", "eigen,series", "--format", "json")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numerical failure:")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ("energy", "--family", "cycle", "--n", "9", "--routes", "eigen,abs,series"),
     ("family-info", "--family", "friendship", "--triangles", "4"),

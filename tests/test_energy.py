@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from randic_energy.energy import (
+    _MAX_BLOCK,
     ROUTE_ABS,
     ROUTE_EIGEN,
     ROUTE_SERIES,
@@ -17,8 +18,9 @@ from randic_energy.energy import (
     vertex_energies,
     vertex_energy_series,
 )
-from randic_energy.graph import Graph, parse_edge_list, relabel
+from randic_energy.graph import Graph, parse_edge_list
 from randic_energy.random_graphs import random_connected_graph
+from helpers import relabel
 
 # 7-vertex running example used throughout; energies frozen from an
 # independent dense eigensolve (LAPACK dsyevd on the 7x7 matrix)
@@ -232,6 +234,31 @@ def test_series_all_vertices_matches_single_vertex():
         assert res.energies[i] == pytest.approx(
             vertex_energy_series(g, i, 37), abs=1e-12
         )
+
+
+# block sizes s = ceil(sqrt(terms)) up to the cap: single, full and partial
+# last blocks at s = 7 and at the cap, and the capped size past it
+BLOCK_EDGE_TERMS = (1, 2, 3, 48, 49, 50, 200,
+                    _MAX_BLOCK ** 2 - 1, _MAX_BLOCK ** 2, _MAX_BLOCK ** 2 + 1, 10_000)
+
+
+@pytest.mark.parametrize("g, vertices", [
+    (path(2), (0, 1)),
+    (random_connected_graph(random.Random(20), 20, 0.4), range(20)),
+    # near-singular: the zero eigenvalue carries most of a leaf's weight
+    (star(100), (0, 1, 99)),
+], ids=["path2", "gnp20", "star100"])
+def test_series_blocks_match_single_vertex_series(g, vertices):
+    for terms in BLOCK_EDGE_TERMS:
+        res = series_energies(g, terms=terms)
+        for i in vertices:
+            assert abs(res.energies[i] - vertex_energy_series(g, i, terms)) <= 1e-13
+
+
+def test_series_truncations_at_star_leaf_do_not_increase():
+    leaf = [series_energies(star(100), terms=t).energies[1] for t in BLOCK_EDGE_TERMS]
+    for a, b in zip(leaf, leaf[1:]):
+        assert b <= a
 
 
 def test_series_validates_args():

@@ -11,12 +11,12 @@ from randic_energy.families import (
     VertexClass,
     closed_form_energy,
     friendship,
-    friendship_hub_weights,
     friendship_spectrum,
     generate,
     vertex_classes,
 )
 from randic_energy.spectral import eigen_symmetric, randic_matrix
+from helpers import friendship_hub_weights
 
 
 def spec(kind, **kw):

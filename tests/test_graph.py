@@ -17,11 +17,11 @@ from randic_energy.graph import (
     is_connected,
     parse_edge_list,
     parse_edge_list_report,
-    relabel,
     serialize_edge_list,
     star_center,
 )
 from randic_energy.random_graphs import random_connected_graph
+from helpers import relabel
 import random
 
 
