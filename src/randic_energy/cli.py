@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 bad input or usage, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -633,6 +634,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: ``parse_args`` returns a fresh
+    namespace on every call and leaves the parser as it found it."""
+    return build_parser()
+
+
 def _resolve_tol(args) -> None:
     env = os.environ.get("RANDIC_TOL")
     if args.tol is not None:
@@ -652,9 +660,8 @@ def _resolve_tol(args) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse already printed the diagnostic
         return int(exc.code or 0)
 

@@ -19,6 +19,11 @@ limit, one minus the weight the vertex puts on the zero eigenvalue.
 Rebuilding R on the literal vertex-deleted graph (degrees recomputed) does
 NOT satisfy the identity; that comparison mode takes det(zI - R')/det(zI - R)
 from complex ``slogdet`` in place of p_i/p.
+
+R and R' are real, so both integrands are even in x. ``integrate_line``
+relies on that: it integrates over the half line and doubles, and it calls
+the integrand once per refinement level, on every node of every panel still
+open, so the continued fraction runs its k steps over one batch per level.
 """
 from __future__ import annotations
 
@@ -162,31 +167,22 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _panel_sums(f, lo: np.ndarray, width: float, nodes, weights) -> np.ndarray:
-    """Gauss-Legendre sums of f over the panels [lo_k, lo_k + width], one call of f."""
+def _panel_sums(f, lo: np.ndarray, width: np.ndarray, nodes, weights) -> np.ndarray:
+    """Gauss-Legendre sums of f over the panels [lo_k, lo_k + width_k], one call of f."""
     half = 0.5 * width
-    return half * (f(np.add.outer(lo, half * (nodes + 1.0))) @ weights)
-
-
-def _refine(f, a, b, whole, tol, nodes, weights, levels_left):
-    half = 0.5 * (b - a)
-    left, right = _panel_sums(f, np.array([a, a + half]), half, nodes, weights)
-    err = ERROR_SAFETY * abs(left + right - whole)
-    evals = 2 * len(nodes)
-    if err <= tol:
-        return left + right, err, True, evals
-    if levels_left == 0:
-        return left + right, err, False, evals
-    lv, le, lok, ln = _refine(f, a, a + half, left, 0.5 * tol, nodes, weights, levels_left - 1)
-    rv, re_, rok, rn = _refine(f, a + half, b, right, 0.5 * tol, nodes, weights, levels_left - 1)
-    return lv + rv, le + re_, lok and rok, evals + ln + rn
+    return half * (f(lo[:, None] + half[:, None] * (nodes + 1.0)) @ weights)
 
 
 def integrate_line(f, cfg: QuadratureConfig) -> CoulsonResult:
-    """Adaptive composite Gauss-Legendre of f over R via x = tan(t) sin^2(t).
+    """Adaptive composite Gauss-Legendre of an even f over R via x = tan(t) sin^2(t).
 
-    ``f`` is called on arrays of x of any shape."""
+    ``f`` must be even: the result is twice the integral over t in [0, pi/2],
+    taken on two panels of width pi/4 with tolerance ``cfg.tolerance / 4``
+    each, and each half of an open panel gets half its tolerance. Refinement
+    is breadth first: ``f`` is called once per level, on an array of x of
+    shape (panel sums, nodes), and at most ``cfg.max_levels + 1`` times."""
     nodes, weights = _gauss_legendre(cfg.nodes_per_panel)
+    rounding = cfg.nodes_per_panel * np.finfo(float).eps
 
     # x ~ t^3 near 0 and x ~ tan(t) near pi/2. An eigenvalue theta near 0 puts
     # a peak of width |theta| at x = 0, |theta|^(1/3) wide in t; under x = tan(t)
@@ -195,20 +191,43 @@ def integrate_line(f, cfg: QuadratureConfig) -> CoulsonResult:
         s2 = np.sin(t) ** 2
         return f(np.tan(t) * s2) * (s2 * (3.0 - 2.0 * s2) / np.cos(t) ** 2)
 
-    breaks = (-math.pi / 2, -math.pi / 4, 0.0, math.pi / 4, math.pi / 2)
-    wholes = _panel_sums(transformed, np.array(breaks[:-1]), math.pi / 4, nodes, weights)
+    a = np.array([0.0, math.pi / 4])
+    b = np.array([math.pi / 4, math.pi / 2])
     total = 0.0
     err = 0.0
     ok = True
-    evals = wholes.size * len(nodes)
-    for a, b, whole in zip(breaks, breaks[1:], wholes):
-        v, e, converged, n = _refine(transformed, a, b, whole, cfg.tolerance / 4.0,
-                                     nodes, weights, cfg.max_levels)
-        total += v
-        err += e
-        ok = ok and converged
-        evals += n
-    return CoulsonResult(value=total, error_estimate=err, converged=ok, evaluations=evals)
+    evals = 0
+    for level in range(cfg.max_levels + 1):
+        tol = cfg.tolerance / 4.0 * 0.5 ** level  # the same for every open panel
+        half = 0.5 * (b - a)
+        lo, width = np.concatenate([a, a + half]), np.concatenate([half, half])
+        if level == 0:  # the two panels' whole sums come from the same call
+            lo, width = np.concatenate([a, lo]), np.concatenate([b - a, width])
+        sums = _panel_sums(transformed, lo, width, nodes, weights).reshape(-1, a.size)
+        evals += sums.size * len(nodes)
+        if level == 0:
+            whole = sums[0]
+        left, right = sums[-2:]
+        # two sums can agree bit for bit while both carry rounding error: the
+        # estimate never reads below the rounding of the finer sum, and a
+        # panel whose difference is down at that floor is refined no further
+        diff = ERROR_SAFETY * np.abs(left + right - whole)
+        floor = rounding * (np.abs(left) + np.abs(right))
+        e = np.maximum(diff, floor)
+        final = (e <= tol) | (diff <= floor) | (level == cfg.max_levels)
+        total += float(np.sum(left[final] + right[final]))
+        err += float(np.sum(e[final]))
+        ok = ok and bool(np.all(e[final] <= tol))
+        split = ~final
+        if not split.any():
+            break
+        # each open panel becomes its two halves, whose whole sums are known
+        mid = a[split] + half[split]
+        a = np.column_stack([a[split], mid]).ravel()
+        b = np.column_stack([mid, b[split]]).ravel()
+        whole = np.column_stack([left[split], right[split]]).ravel()
+    return CoulsonResult(value=2.0 * total, error_estimate=2.0 * err, converged=ok,
+                         evaluations=evals)
 
 
 def coulson_vertex_energy(g: Graph, i: int, cfg: QuadratureConfig | None = None,

@@ -399,6 +399,22 @@ def test_bad_family_parameters(capsys):
     assert "unknown family" in err
 
 
+def test_back_to_back_calls_share_no_state(capsys, monkeypatch):
+    # main parses with one parser per process; nothing one call sets may
+    # reach the next
+    monkeypatch.delenv("RANDIC_TOL", raising=False)
+    star4 = ("--family", "star", "--n", "4")
+    _, report, _ = run_json(capsys, "energy", *star4, "--routes", "eigen,abs")
+    assert set(report["routes"]) == {"eigen", "abs", "deltas"}
+    _, report, _ = run_json(capsys, "energy", *star4)
+    assert set(report["routes"]) == {"eigen"}
+    assert all(set(row) == {"vertex", "eigen"} for row in report["results"])
+    _, report, _ = run_json(capsys, "coulson", *star4, "--tol", "1e-3")
+    assert report["routes"]["quadrature"]["tolerance"] == 1e-3
+    _, report, _ = run_json(capsys, "coulson", *star4)
+    assert report["routes"]["quadrature"]["tolerance"] == cli.DEFAULT_TOL["coulson"]
+
+
 def test_env_tolerance_must_be_numeric(capsys, monkeypatch):
     monkeypatch.setenv("RANDIC_TOL", "abc")
     code, _, err = run(capsys, "energy", "--family", "star", "--n", "4")

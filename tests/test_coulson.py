@@ -51,19 +51,92 @@ def test_config_validation():
         QuadratureConfig(max_levels=0)
 
 
+def counting(f, calls):
+    """f, appending the shape of every argument it is called on to ``calls``."""
+    def counted(x):
+        calls.append(np.shape(x))
+        return f(x)
+    return counted
+
+
+def depth_first(f, cfg):
+    """The recursion that integrate_line's breadth-first loop replaces, on the
+    half line and without the rounding floor: the reference for its panels,
+    tolerances and evaluation counts. Returns (value, evaluations)."""
+    nodes, weights = np.polynomial.legendre.leggauss(cfg.nodes_per_panel)
+
+    def panel(a, b):
+        half = 0.5 * (b - a)
+        t = a + half * (nodes + 1.0)
+        s2 = np.sin(t) ** 2
+        return half * ((f(np.tan(t) * s2) * (s2 * (3.0 - 2.0 * s2) / np.cos(t) ** 2)) @ weights)
+
+    def refine(a, b, whole, tol, levels_left):
+        mid = a + 0.5 * (b - a)
+        left, right = panel(a, mid), panel(mid, b)
+        evals = 2 * len(nodes)
+        if 10.0 * abs(left + right - whole) <= tol or levels_left == 0:
+            return left + right, evals
+        lv, ln = refine(a, mid, left, 0.5 * tol, levels_left - 1)
+        rv, rn = refine(mid, b, right, 0.5 * tol, levels_left - 1)
+        return lv + rv, evals + ln + rn
+
+    value, evals = 0.0, 0
+    for a, b in ((0.0, math.pi / 4), (math.pi / 4, math.pi / 2)):
+        v, n = refine(a, b, panel(a, b), cfg.tolerance / 4.0, cfg.max_levels)
+        value, evals = value + v, evals + n + len(nodes)
+    return 2.0 * value, evals
+
+
 def test_quadrature_on_known_integral():
-    # integral of 1/(1+x^2) over R is pi
-    res = integrate_line(lambda x: 1.0 / (1.0 + x * x), QuadratureConfig())
-    assert res.converged
-    assert res.value == pytest.approx(math.pi, abs=1e-10)
+    for f, exact, tol in [
+        (lambda x: 1.0 / (1.0 + x * x), math.pi, 1e-7),
+        (lambda x: np.exp(-x * x), math.sqrt(math.pi), 1e-10),
+    ]:
+        calls = []
+        res = integrate_line(counting(f, calls), QuadratureConfig(tolerance=tol))
+        assert res.converged
+        assert res.value == pytest.approx(exact, abs=1e-10)
+        # level 0 converges: both panels whole and halved in one call of f
+        assert calls == [(6, 32)]
+        assert res.evaluations == 192
 
 
 def test_quadrature_flags_exhaustion():
     # a spike much narrower than the coarse panels, with refinement disabled
     cfg = QuadratureConfig(nodes_per_panel=8, tolerance=1e-12, max_levels=1)
-    res = integrate_line(lambda x: 1.0 / (1.0 + 1e6 * x * x), cfg)
+    calls = []
+    res = integrate_line(counting(lambda x: 1.0 / (1.0 + 1e6 * x * x), calls), cfg)
     assert not res.converged
     assert res.error_estimate > cfg.tolerance
+    assert len(calls) == cfg.max_levels + 1
+
+
+@pytest.mark.parametrize("max_levels", [1, 3, 12])
+def test_quadrature_calls_f_once_per_level(max_levels):
+    cfg = QuadratureConfig(nodes_per_panel=8, tolerance=1e-12, max_levels=max_levels)
+    calls = []
+    res = integrate_line(counting(lambda x: 1.0 / (1.0 + 1e12 * x * x), calls), cfg)
+    assert 1 < len(calls) <= cfg.max_levels + 1
+    assert res.evaluations == sum(math.prod(shape) for shape in calls)
+    # past level 0, each call holds two half sums for each of the two halves
+    # of every panel still open
+    assert all(shape[0] % 4 == 0 and shape[1] == 8 for shape in calls[1:])
+
+
+@pytest.mark.parametrize("f, cfg", [
+    (lambda x: 1.0 / (1.0 + 1e6 * x * x), QuadratureConfig(nodes_per_panel=8, tolerance=1e-12)),
+    (lambda x: 1.0 / (1.0 + 1e12 * x * x), QuadratureConfig(nodes_per_panel=8, tolerance=1e-12,
+                                                             max_levels=3)),
+    *[(coulson_integrand(g, i), QuadratureConfig(tolerance=tol))
+      for g in (DEMO7, path(101), random_connected_graph(random.Random(50), 50))
+      for i in (0, 3, 6) for tol in (1e-7, 1e-10)],
+])
+def test_breadth_first_refines_the_panels_the_recursion_refines(f, cfg):
+    res = integrate_line(f, cfg)
+    value, evals = depth_first(f, cfg)
+    assert res.evaluations == evals
+    assert res.value == pytest.approx(value, abs=1e-15)
 
 
 # ---------------------------------------------------------------- integrand
@@ -147,6 +220,7 @@ def test_demo7_all_vertices_match_eigen_route():
     for i in range(DEMO7.n):
         res = coulson_vertex_energy(DEMO7, i)
         assert res.value == pytest.approx(eig[i], abs=max(1e-5, res.error_estimate))
+        assert res.evaluations == 192
 
 
 def test_rejects_bad_input():
@@ -187,6 +261,21 @@ def test_every_vertex_within_tolerance_at_sizes_in_use(label, g):
         assert res.converged, (label, i)
         assert abs(res.value - reference[i]) <= cfg.tolerance, (label, i)
         assert res.error_estimate <= cfg.tolerance, (label, i)
+
+
+@pytest.mark.parametrize("label, g", [("cycle(8)", cycle(8)), ("star(12)", star(12)),
+                                     ("DEMO7", DEMO7)])
+def test_unreachable_tolerance_is_never_converged(label, g):
+    # both sums of a panel can agree bit for bit while each carries rounding
+    # error; the estimate's rounding floor keeps such a panel unconverged,
+    # and refinement that rounding would defeat stops there
+    cfg = QuadratureConfig(tolerance=1e-18)
+    for i in range(g.n):
+        calls = []
+        res = integrate_line(counting(coulson_integrand(g, i), calls), cfg)
+        assert not res.converged, (label, i)
+        assert res.error_estimate > cfg.tolerance, (label, i)
+        assert len(calls) <= 3, (label, i)
 
 
 def test_vertex_sum_reproduces_graph_energy():
