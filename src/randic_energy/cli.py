@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .bounds import EQUALITY_TOL, BoundsReport, bounds_report
 from .charpoly import (
@@ -89,32 +89,88 @@ def _json(obj) -> str:
     chosen instead so that reports diff cleanly across Python versions
     while still round-tripping bit-exactly. A NaN or infinite float raises
     ``NonFiniteError``: ``json.loads`` rejects the bare ``nan`` token.
+    Containers are dicts, lists and tuples; scalars are None, bool, int,
+    float and str, subclasses (``numpy.float64``) included.
     """
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise NonFiniteError(f"report value {obj} has no JSON form")
-        out = "%.17g" % obj
-        # keep the token a float so parsing recovers the value bit-exactly
-        # (otherwise 1.0 emits as "1" and -0.0 as "-0", both read back as int)
-        if not any(c in out for c in ".e"):
-            out += ".0"
+    parts: list[str] = []
+    _encode(obj, parts.append, {})
+    return "".join(parts)
+
+
+def _float_token(x: float) -> str:
+    out = "%.17g" % x
+    if "." in out or "e" in out:
         return out
-    if isinstance(obj, dict):
-        inner = ", ".join(f"{json.dumps(str(k))}: {_json(v)}" for k, v in obj.items())
-        return "{" + inner + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_json(v) for v in obj) + "]"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    # "nan" and "inf" carry neither, so only here can x be non-finite
+    if not math.isfinite(x):
+        raise NonFiniteError(f"report value {x} has no JSON form")
+    # keep the token a float so parsing recovers the value bit-exactly
+    # (otherwise 1.0 emits as "1" and -0.0 as "-0", both read back as int)
+    return out + ".0"
+
+
+def _encode(obj, emit, keys: dict) -> None:
+    """Append the tokens of ``obj`` through ``emit``; ``keys`` caches the
+    encoded ``"key": `` prefix of each distinct str key."""
+    kind = type(obj)
+    if kind is float:
+        emit(_float_token(obj))
+    elif kind is dict:
+        _encode_dict(obj, emit, keys)
+    elif kind is list or kind is tuple:
+        _encode_items(obj, emit, keys)
+    elif kind is str:
+        emit(encode_basestring_ascii(obj))
+    elif kind is int:
+        emit(str(obj))
+    elif obj is None:
+        emit("null")
+    elif kind is bool:
+        emit("true" if obj else "false")
+    # subclasses of the types above
+    elif isinstance(obj, str):
+        emit(encode_basestring_ascii(obj))
+    elif isinstance(obj, int):
+        emit(str(obj))
+    elif isinstance(obj, float):
+        emit(_float_token(obj))
+    elif isinstance(obj, dict):
+        _encode_dict(obj, emit, keys)
+    elif isinstance(obj, (list, tuple)):
+        _encode_items(obj, emit, keys)
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _encode_dict(obj: dict, emit, keys: dict) -> None:
+    opening = "{"
+    for key, value in obj.items():
+        if type(key) is str:
+            prefix = keys.get(key)
+            if prefix is None:
+                prefix = keys[key] = encode_basestring_ascii(key) + ": "
+        else:  # 1, 1.0 and True are one dict key but three texts
+            prefix = encode_basestring_ascii(str(key)) + ": "
+        emit(opening)
+        emit(prefix)
+        if type(value) is float:
+            emit(_float_token(value))
+        else:
+            _encode(value, emit, keys)
+        opening = ", "
+    emit("{}" if opening == "{" else "}")
+
+
+def _encode_items(seq, emit, keys: dict) -> None:
+    opening = "["
+    for value in seq:
+        emit(opening)
+        if type(value) is float:
+            emit(_float_token(value))
+        else:
+            _encode(value, emit, keys)
+        opening = ", "
+    emit("[]" if opening == "[" else "]")
 
 
 def _table(rows: list[list[str]], align: str) -> str:

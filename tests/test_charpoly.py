@@ -1,12 +1,14 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from randic_energy import charpoly
 from randic_energy.charpoly import (
     Comparison,
     EvenCoefficients,
@@ -30,6 +32,8 @@ from randic_energy.random_graphs import (
     random_connected_graph,
 )
 from randic_energy.spectral import eigen_symmetric, randic_matrix
+
+from helpers import faddeev_leverrier
 
 
 def cycle(n):
@@ -97,6 +101,99 @@ def test_numeric_invariants(seed, n):
     dec = eigen_symmetric(randic_matrix(g))
     for lam in dec.values:
         assert abs(p(lam)) <= 1e-6 * (1.0 + abs(lam)) ** g.n
+
+
+def exact_path_poly(n):
+    """det(xI - R(path(n))) in exact arithmetic. R is tridiagonal with zero
+    diagonal and off-diagonal entries 1/sqrt(d_{k-1} d_k), so
+    p_k = x p_{k-1} - p_{k-2} / (d_{k-1} d_k)."""
+    d = [1] + [2] * (n - 2) + [1]
+    before, p = [Fraction(1)], [Fraction(1), Fraction(0)]
+    for k in range(1, n):
+        nxt = p + [Fraction(0)]
+        for i, c in enumerate(before):
+            nxt[i + 2] -= c / (d[k - 1] * d[k])
+        before, p = p, nxt
+    return [float(c) for c in p]
+
+
+@pytest.mark.parametrize("n", [13, 30, 60, 100, 150, 200])
+def test_numeric_matches_exact_path_poly(n):
+    # beyond MAX_ENUMERATION_N, where the subgraph expansion is refused
+    exact = np.array(exact_path_poly(n))
+    ours = np.array(char_poly_numeric(randic_matrix(path(n))).coefficients)
+    assert np.max(np.abs(ours - exact)) <= 1e-13 * max(1.0, np.max(np.abs(exact)))
+
+
+def _randic_of_random_graph(n, seed):
+    """R of a seeded connected G(n, 0.3): the spectrum the library meets,
+    inside [-1, 1]. n = 1 has no edge, so it gets a 1 x 1 matrix instead."""
+    if n == 1:
+        return np.array([[0.5]])
+    return randic_matrix(random_connected_graph(random.Random(seed), n, 0.3))
+
+
+def _assert_matches_np_poly(m):
+    ours = np.array(char_poly_numeric(m).coefficients)
+    ref = np.poly(m)
+    assert np.max(np.abs(ours - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_numeric_block_edges_smallest(n):
+    _assert_matches_np_poly(_randic_of_random_graph(n, n))
+
+
+@pytest.mark.parametrize("s", [2, 3, 5, 7])
+def test_numeric_block_edges_full_and_partial(s):
+    # n = s^2 runs s full blocks of s steps; n = s^2 + 1 stores s + 1 powers
+    # and ends in a partial block
+    assert charpoly._stored_powers(s * s) == s
+    assert charpoly._stored_powers(s * s + 1) == s + 1
+    assert (s * s + 1) % (s + 1) != 0
+    for n in (s * s, s * s + 1):
+        _assert_matches_np_poly(_randic_of_random_graph(n, n))
+
+
+@pytest.mark.parametrize("budget, n, s", [(0, 6, 1), (98, 7, 2), (147, 7, 3)])
+def test_numeric_block_sizes_under_a_smaller_budget(monkeypatch, budget, n, s):
+    # the budget, not ceil(sqrt(n)) = 3, sets s; at n = 7 the last block is partial
+    monkeypatch.setattr(charpoly, "_POWERS_BUDGET", budget)
+    assert charpoly._stored_powers(n) == s
+    _assert_matches_np_poly(_randic_of_random_graph(n, budget))
+
+
+def test_stored_powers_within_budget():
+    for n in (1, 10, 50, 100, 150, 200, 201, 400, 1000):
+        s = charpoly._stored_powers(n)
+        assert 1 <= s <= math.isqrt(n - 1) + 1
+        assert s == 1 or s * n * n <= charpoly._POWERS_BUDGET
+    assert charpoly._stored_powers(200) == 8
+
+
+@pytest.mark.parametrize("g", [
+    path(200),
+    complete_bipartite(40, 60),
+    star(150),
+    random_connected_bipartite_graph(random.Random(7), 100, 0.1),
+], ids=["path(200)", "K_{40,60}", "star(150)", "bipartite(100)"])
+def test_numeric_bipartite_odd_coefficients_exactly_zero(g):
+    coeffs = char_poly_numeric(randic_matrix(g)).coefficients
+    assert all(c == 0.0 for c in coeffs[1::2])
+
+
+@pytest.mark.parametrize("n", [5, 17, 40])
+def test_numeric_general_matrices(n):
+    # np.poly goes through eigvals and is itself off by up to 5e-13 at n = 40,
+    # so the tight reference is the unblocked recurrence in extended precision
+    for seed in range(5):
+        m = np.random.default_rng(1000 * n + seed).standard_normal((n, n)) / math.sqrt(n)
+        ours = np.array(char_poly_numeric(m).coefficients)
+        exact = faddeev_leverrier(m, np.longdouble).astype(float)
+        scale = max(1.0, np.max(np.abs(exact)))
+        assert np.max(np.abs(ours - exact)) <= 1e-13 * scale
+        ref = np.poly(np.linalg.eigvals(m)).real
+        assert np.max(np.abs(ours - ref)) <= 1e-12 * scale
 
 
 # ------------------------------------------------------- combinatorial route

@@ -15,6 +15,9 @@ import pytest
 from randic_energy import cli
 from randic_energy.cli import main
 
+from helpers import reference_json
+
+DEMO7_PATH = str(pathlib.Path(__file__).parent.parent / "data" / "demo7.edges")
 P4_TEXT = "n 4\n1 2\n2 3\n3 4\n"
 DEMO7_TEXT = "n 7\n1 2\n2 3\n3 4\n2 4\n1 4\n4 5\n5 6\n4 6\n4 7\n"
 
@@ -194,6 +197,64 @@ def test_json_deterministic(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("argv", [
+    ("energy", "--file", DEMO7_PATH, "--routes", "eigen,abs,series,coulson"),
+    ("bounds", "--file", DEMO7_PATH),
+    ("charpoly", "--file", DEMO7_PATH),
+    ("coulson", "--file", DEMO7_PATH),
+    ("energy", "--family", "star", "--n", "9", "--routes", "eigen,series"),
+    ("bounds", "--family", "friendship", "--triangles", "3"),
+    ("charpoly", "--family", "path", "--n", "8", "--vertex", "1,3"),
+    ("coulson", "--family", "cycle", "--n", "7"),
+    ("compare", "--family", "path", "--n", "6", "--v", "1", "--w", "3"),
+    ("family-info", "--family", "complete_bipartite", "--n1", "2", "--n2", "5"),
+])
+def test_json_encoder_matches_reference_bytes(capsys, monkeypatch, argv):
+    encode = cli._json
+    reports = []
+
+    def checked(report):
+        reports.append(report)
+        out = encode(report)
+        assert out == reference_json(report)
+        return out
+
+    monkeypatch.setattr(cli, "_json", checked)
+    code, _, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert reports
+
+
+@pytest.mark.parametrize("value", [
+    -0.0, 0.0, 1.0, -1.0, 1e16, -1e16, 1e17, 2e22, 1e-7, 5e-324, 2.5, 1 / 3, 1.7976931348623157e308,
+    np.float64(1.0), np.float64(-0.0), np.float64(0.1),
+    {}, [], (), {"a": {}}, [[], {}],
+    "", "é ü → ∞", "tab\tquote\"slash\\", "\U0001f600",
+    None, True, False, 0, -7, 10 ** 20,
+    {"x": [1.0, True, None, "s"], 3: (2, 0.5), "y": {"x": -0.0}},
+    [{"k": 1e16}, {"k": 5e-324}, {"k": np.float64(2.0)}],
+    [{1: 0}, {True: 0}, {1.0: 0}, {None: 0}],  # equal keys, different text
+])
+def test_json_encoder_edge_cases_match_reference(value):
+    assert cli._json(value) == reference_json(value)
+
+
+@pytest.mark.parametrize("value", [math.nan, -math.inf, np.float64(math.inf),
+                                   [1.0, math.inf], {"a": math.nan}])
+def test_json_encoder_refuses_non_finite(value):
+    with pytest.raises(cli.NonFiniteError):
+        cli._json(value)
+    with pytest.raises(cli.NonFiniteError):
+        reference_json(value)
+
+
+def test_json_encoder_refuses_unknown_types():
+    with pytest.raises(TypeError):
+        cli._json({"a": np.int64(1)})
+    with pytest.raises(TypeError):
+        cli._json([object()])
+
+
 # ----------------------------------------------------------------- bounds
 
 def test_bounds_report_flags_star_center(capsys):
@@ -209,7 +270,6 @@ def test_bounds_report_flags_star_center(capsys):
 
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
-DEMO7_PATH = str(pathlib.Path(__file__).parent.parent / "data" / "demo7.edges")
 
 
 def _assert_same_report(got, want, path="report"):
@@ -288,8 +348,8 @@ def test_coulson_matches_reference(capsys, demo7_file):
 
 
 def test_coulson_unreachable_tolerance_exits_3(capsys):
-    # below what rounding lets two panel sums agree to; on star(12) the
-    # route reaches 1e-14 (its error there is 7e-17)
+    # below what rounding lets two panel sums agree to; on star(12) the hub
+    # converges at 1e-13 but not at 1e-14, the leaves at 1e-14 (error 7e-17)
     code, report, _ = run_json(capsys, "coulson", "--family", "star", "--n", "12",
                                "--tol", "1e-16")
     assert code == 3
