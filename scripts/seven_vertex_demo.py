@@ -20,9 +20,8 @@ from randic_energy import (  # noqa: E402
     ROUTE_ABS,
     bounds_report,
     coulson_vertex_energy,
-    eigen_symmetric,
     parse_edge_list,
-    randic_matrix,
+    randic_spectrum,
     series_energies,
     series_tail_bound,
     vertex_energies,
@@ -37,7 +36,7 @@ def main(argv=None) -> int:
     g = parse_edge_list(pathlib.Path(args.data).read_text())
     print(f"graph: n={g.n} m={g.m} degrees={list(g.degrees)}")
 
-    dec = eigen_symmetric(randic_matrix(g))
+    dec = randic_spectrum(g)
     print("\nspectrum of the normalized adjacency matrix:")
     print("  " + "  ".join(f"{lam:.4f}" for lam in dec.values))
 
@@ -50,7 +49,7 @@ def main(argv=None) -> int:
     print("truncation tail; the zero eigenvalue makes it converge slowly):")
     print("  vertex   eigen     abs     series            coulson")
     for i in range(g.n):
-        tail = series_tail_bound(g, i, series.terms, dec)
+        tail = series_tail_bound(g, i, series.terms)
         print(f"  {i + 1:>6}  {eigen[i]:.4f}  {via_abs[i]:.4f}  "
               f"{series.energies[i]:.4f} - {tail:.4f}  {coulson[i].value:.4f}")
     total = sum(eigen)

@@ -23,8 +23,8 @@ from .graph import (
     is_complete_bipartite,
     star_center,
 )
-from .energy import _check_graph, vertex_energies
-from .spectral import eigen_symmetric, randic_matrix
+from .energy import vertex_energies
+from .spectral import randic_matrix
 
 #: numerical tolerance for declaring a bound attained
 EQUALITY_TOL = 1e-7
@@ -167,9 +167,8 @@ def _equality_labels(g: Graph) -> list[str | None]:
 
 
 def bounds_report(g: Graph, *, equality_tol: float = EQUALITY_TOL) -> BoundsReport:
-    _check_graph(g)
+    vec = vertex_energies(g)
     r = randic_matrix(g)
-    vec = vertex_energies(g, decomposition=eigen_symmetric(r))
     r2 = r @ r
     s = np.diag(r2)
     q = (r2 * r2).sum(axis=1)

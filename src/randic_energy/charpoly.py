@@ -99,6 +99,11 @@ def char_poly_numeric(m: np.ndarray) -> Polynomial:
     (12 instead of 50 at n = 50), with s = ceil(sqrt(n)) capped so that the
     powers fill at most 320 000 floats (2.56 MB): 8 powers and 30 products
     at n = 200.
+
+    Accurate to rounding while M's spectral radius is at most 1, as for every
+    Randic matrix. Above 1 the error grows with the powers: 3.0e-13 of the
+    largest coefficient at radius 1.38 and n = 50, where ``np.poly`` is
+    within 1.2e-14.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:

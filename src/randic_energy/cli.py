@@ -52,7 +52,7 @@ from .graph import (
     is_connected,
     parse_edge_list_report,
 )
-from .spectral import ConvergenceError, eigen_symmetric, randic_matrix
+from .spectral import ConvergenceError, randic_matrix, randic_spectrum
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -310,13 +310,10 @@ def _run_energy(job, args, warnings) -> dict:
 
     per_route: dict[str, list[float]] = {}
     meta: dict[str, dict] = {}
-    # eigen and abs share one decomposition: a second LAPACK solve of the
-    # same matrix returns the same bits, so it would add cost, not a check
-    if "eigen" in routes or "abs" in routes:
-        dec = eigen_symmetric(randic_matrix(g))
     for name, route in (("eigen", ROUTE_EIGEN), ("abs", ROUTE_ABS)):
         if name in routes:
-            vec = vertex_energies(g, route=route, decomposition=dec)
+            vec = vertex_energies(g, route=route)
+            dec = randic_spectrum(g)
             per_route[name] = list(vec.energies)
             meta[name] = {"total": vec.total, "residual": dec.residual,
                           "orthogonality": dec.orthogonality}
@@ -504,8 +501,7 @@ def _run_compare(job, args, warnings) -> dict:
 def _run_family_info(job, args, warnings) -> dict:
     spec = _family_spec(args)
     g = job["graph"]
-    dec = eigen_symmetric(randic_matrix(g))
-    computed = vertex_energies(g, decomposition=dec).energies
+    computed = vertex_energies(g).energies
     classes = vertex_classes(spec)
     results = []
     if classes:
@@ -531,7 +527,7 @@ def _run_family_info(job, args, warnings) -> dict:
             results.append({"class": "vertex", "vertices": [i + 1],
                             "energy": computed[i], "closed_form": False,
                             "computed": computed[i]})
-    routes = {"label": spec.label(), "total_energy": graph_energy(g, decomposition=dec)}
+    routes = {"label": spec.label(), "total_energy": graph_energy(g)}
     return {"graph": _graph_header(job), "command": "family-info",
             "results": results, "routes": routes, "warnings": warnings}
 

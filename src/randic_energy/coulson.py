@@ -34,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charpoly import MODE_DELETED_GRAPH, MODE_SUBMATRIX
-from .graph import Graph, delete_vertex, is_connected
+from .energy import _check_graph
+from .graph import Graph, delete_vertex
 from .spectral import ZERO_EIGENVALUE_TOL, randic_matrix
 
 #: Lanczos stops when the next off-diagonal coefficient is below this: the
@@ -234,10 +235,7 @@ def coulson_vertex_energy(g: Graph, i: int, cfg: QuadratureConfig | None = None,
                           *, mode: str = MODE_SUBMATRIX) -> CoulsonResult:
     """Vertex energy by numerical integration; check ``converged`` and
     ``error_estimate`` on the result rather than trusting blindly."""
-    if g.n < 2:
-        raise ValueError("vertex energy needs at least 2 vertices")
-    if not is_connected(g):
-        raise ValueError("graph must be connected")
+    _check_graph(g)
     if cfg is None:
         cfg = QuadratureConfig()
     f = coulson_integrand(g, i, mode=mode)

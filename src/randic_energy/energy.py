@@ -1,11 +1,12 @@
-"""Per-vertex Randic energy by three independent routes.
+"""Per-vertex Randic energy by three routes.
 
 route "eigen-weights"  energy(v_i) = sum_j y_ij^2 |lambda_j|   (default)
 route "abs-diagonal"   energy(v_i) = |R(G)|_ii                 (definition)
 route "series"         truncated binomial expansion of sqrt(R^2)
 
-The routes share nothing past the matrix build, so pairwise agreement is a
-meaningful consistency check rather than a tautology.
+"eigen-weights" and "abs-diagonal" share one decomposition, ``randic_spectrum``,
+so their delta checks only the |R| product. The routes independent of the
+solve are the series and the Coulson quadrature (``coulson``).
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph, bipartition, is_connected
-from .spectral import EigenDecomposition, eigen_symmetric, matrix_abs, randic_matrix
+from .spectral import matrix_abs, randic_matrix, randic_spectrum
 
 ROUTE_EIGEN = "eigen-weights"
 ROUTE_ABS = "abs-diagonal"
@@ -60,16 +61,15 @@ def _check_graph(g: Graph) -> None:
         raise ValueError("graph must be connected")
 
 
-def vertex_energies(g: Graph, *, route: str = ROUTE_EIGEN,
-                    decomposition: EigenDecomposition | None = None) -> VertexEnergyVector:
+def vertex_energies(g: Graph, *, route: str = ROUTE_EIGEN) -> VertexEnergyVector:
     _check_graph(g)
     if route == ROUTE_EIGEN:
-        dec = decomposition if decomposition is not None else eigen_symmetric(randic_matrix(g))
+        dec = randic_spectrum(g)
         absvals = np.abs(dec.values)
         energies = (dec.vectors ** 2) @ absvals
         total = float(absvals.sum())
     elif route == ROUTE_ABS:
-        energies = np.diag(matrix_abs(randic_matrix(g), decomposition=decomposition))
+        energies = np.diag(matrix_abs(randic_matrix(g), decomposition=randic_spectrum(g)))
         total = float(energies.sum())
     elif route == ROUTE_SERIES:
         series = series_energies(g)
@@ -82,12 +82,10 @@ def vertex_energies(g: Graph, *, route: str = ROUTE_EIGEN,
     )
 
 
-def graph_energy(g: Graph, *, decomposition: EigenDecomposition | None = None) -> float:
+def graph_energy(g: Graph) -> float:
     """Total energy as the sum of |eigenvalue| over the whole spectrum."""
     _check_graph(g)
-    if decomposition is None:
-        decomposition = eigen_symmetric(randic_matrix(g))
-    return float(np.abs(decomposition.values).sum())
+    return float(np.abs(randic_spectrum(g).values).sum())
 
 
 def _binomial_half_coefficients(terms: int):
@@ -178,8 +176,7 @@ def series_energies(g: Graph, *, terms: int = 200) -> SeriesEnergies:
     )
 
 
-def series_tail_bound(g: Graph, i: int, terms: int,
-                      decomposition: EigenDecomposition | None = None) -> float:
+def series_tail_bound(g: Graph, i: int, terms: int) -> float:
     """Exact truncation error of the series at vertex i.
 
     Uses sum_{k>=K} |binom(1/2,k)| x^k = (1 - sqrt(1-x)) - partial sum,
@@ -187,30 +184,26 @@ def series_tail_bound(g: Graph, i: int, terms: int,
     """
     if terms < 1:
         raise ValueError("need at least one term")
-    if decomposition is None:
-        decomposition = eigen_symmetric(randic_matrix(g))
-    xs = np.clip(1.0 - decomposition.values ** 2, 0.0, 1.0)
+    dec = randic_spectrum(g)
+    xs = np.clip(1.0 - dec.values ** 2, 0.0, 1.0)
     # sum_{k=1}^{terms-1} |binom(1/2,k)| x^k, then subtract from the closed
     # form of the full sum: sum_{k>=1} |binom(1/2,k)| x^k = 1 - sqrt(1-x)
     partial = np.zeros_like(xs)
     xpow = xs.copy()
-    for k, coeff in enumerate(_binomial_half_coefficients(terms)):
-        if k == 0:
-            continue
+    for coeff in list(_binomial_half_coefficients(terms))[1:]:
         partial += abs(coeff) * xpow
         xpow *= xs
     tail = (1.0 - np.sqrt(1.0 - xs)) - partial
-    weights = decomposition.vectors[i, :] ** 2
+    weights = dec.vectors[i, :] ** 2
     return float(np.dot(weights, np.maximum(tail, 0.0)))
 
 
 def partition_energies(g: Graph) -> tuple[float, float]:
     """Energy mass on the two sides of a bipartite graph (each is RE(G)/2)."""
-    _check_graph(g)
+    vec = vertex_energies(g)
     part = bipartition(g)
     if part is None:
         raise ValueError("graph is not bipartite")
-    vec = vertex_energies(g)
     side_a = sum(vec.energies[v] for v in part.side_a)
     side_b = sum(vec.energies[v] for v in part.side_b)
     return float(side_a), float(side_b)

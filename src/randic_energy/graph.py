@@ -1,11 +1,13 @@
 """Simple undirected graphs: parsing, structural queries, and vertex surgery.
 
-Vertices are 0-based internally; edge-list files use 1-based ids. Graph
-values are immutable after construction, so everything here is safe to
-share across threads.
+Vertices are 0-based internally; edge-list files use 1-based ids. Graphs
+are immutable; what they memoise (edge set, connectivity, and ``spectral``'s
+R and spectrum) is computed at most once per thread race, and any copy is
+equal, so graphs are safe to share across threads.
 """
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass
 
@@ -60,14 +62,21 @@ class Graph:
             u, v = v, u
         return (u, v) in self._edge_set
 
-    @property
+    # cached_property writes the instance __dict__ directly, past frozen=True
+    @functools.cached_property
     def _edge_set(self) -> frozenset:
-        # cached lazily on the instance despite frozen=True
-        cached = self.__dict__.get("_edge_set_cache")
-        if cached is None:
-            cached = frozenset(self.edges)
-            object.__setattr__(self, "_edge_set_cache", cached)
-        return cached
+        return frozenset(self.edges)
+
+    @functools.cached_property
+    def _connected(self) -> bool:
+        seen = [True] + [False] * (self.n - 1)
+        queue = deque([0])
+        while queue:
+            for v in self.adjacency[queue.popleft()]:
+                if not seen[v]:
+                    seen[v] = True
+                    queue.append(v)
+        return all(seen)
 
 
 @dataclass(frozen=True)
@@ -152,20 +161,8 @@ def serialize_edge_list(g: Graph) -> str:
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n == 1:
-        return True
-    seen = [False] * g.n
-    seen[0] = True
-    queue = deque([0])
-    count = 1
-    while queue:
-        u = queue.popleft()
-        for v in g.adjacency[u]:
-            if not seen[v]:
-                seen[v] = True
-                count += 1
-                queue.append(v)
-    return count == g.n
+    """Whether every vertex is reachable from vertex 0; one BFS per graph."""
+    return g._connected
 
 
 def connected_components(g: Graph) -> list[list[int]]:
@@ -223,9 +220,7 @@ def delete_vertex(g: Graph, v: int) -> Graph:
     """Remove v and its edges; remaining ids compact down preserving order."""
     if not (0 <= v < g.n):
         raise ValueError(f"vertex {v} out of range for n={g.n}")
-    remap = {u: (u if u < v else u - 1) for u in range(g.n) if u != v}
-    edges = [(remap[a], remap[b]) for a, b in g.edges if a != v and b != v]
-    return Graph.from_edges(g.n - 1, edges)
+    return induced_subgraph(g, [u for u in range(g.n) if u != v])
 
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:

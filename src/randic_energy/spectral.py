@@ -55,18 +55,21 @@ class EigenDecomposition:
 def randic_matrix(g: Graph, *, allow_isolated: bool = False) -> np.ndarray:
     """Symmetric matrix with entries 1/sqrt(d_i d_j) on edges, 0 elsewhere.
 
-    Isolated vertices make the normalization undefined; with
+    Built once per graph and kept on it: every call returns the same
+    read-only array. Isolated vertices make the normalization undefined; with
     ``allow_isolated`` they simply contribute zero rows (used for
     characteristic polynomials of vertex-deleted graphs).
     """
     if not allow_isolated and any(d == 0 for d in g.degrees):
         isolated = [v for v in range(g.n) if g.degrees[v] == 0]
         raise DegenerateDegreeError(f"isolated vertices {isolated} have degree 0")
-    r = np.zeros((g.n, g.n))
-    for u, v in g.edges:
-        w = 1.0 / math.sqrt(g.degrees[u] * g.degrees[v])
-        r[u, v] = w
-        r[v, u] = w
+    r = g.__dict__.get("_randic_matrix")
+    if r is None:
+        r = np.zeros((g.n, g.n))
+        for u, v in g.edges:
+            r[u, v] = r[v, u] = 1.0 / math.sqrt(g.degrees[u] * g.degrees[v])
+        r.flags.writeable = False
+        g.__dict__["_randic_matrix"] = r  # only once filled: other threads may read it
     return r
 
 
@@ -110,6 +113,14 @@ def eigen_symmetric(m: np.ndarray) -> EigenDecomposition:
         residual=float(np.linalg.norm(a @ vectors - vectors * values)),
         orthogonality=float(np.abs(gram).max(initial=0.0)),
     )
+
+
+def randic_spectrum(g: Graph) -> EigenDecomposition:
+    """``eigen_symmetric(randic_matrix(g))``, solved once per graph and kept on it."""
+    dec = g.__dict__.get("_randic_spectrum")
+    if dec is None:
+        dec = g.__dict__["_randic_spectrum"] = eigen_symmetric(randic_matrix(g))
+    return dec
 
 
 def matrix_abs(m: np.ndarray, *, decomposition: EigenDecomposition | None = None) -> np.ndarray:

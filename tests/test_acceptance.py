@@ -88,7 +88,7 @@ def test_c01_demo_graph_eigenvalues_and_energies():
     t0 = time.perf_counter()
     g = parse_edge_list(text)
     dec = eigen_symmetric(randic_matrix(g))
-    energies = vertex_energies(g, decomposition=dec).energies
+    energies = vertex_energies(g).energies
     elapsed = time.perf_counter() - t0
 
     ascending = sorted(dec.values)
@@ -155,7 +155,7 @@ def test_c03_friendship_spectrum_and_total():
         for got, want in zip(dec.values, expected):
             worst = max(worst, abs(got - want))
             assert got == pytest.approx(want, abs=1e-9)
-        assert graph_energy(g, decomposition=dec) == pytest.approx(
+        assert graph_energy(g) == pytest.approx(
             t + 1.0, abs=1e-9)
         # the stated multiset is also the closed-form one (the t = 1 case
         # has no eigenvalue 1/2, and the helper drops the empty entry)

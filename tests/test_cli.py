@@ -8,11 +8,12 @@ import dataclasses
 import json
 import math
 import pathlib
+import sys
 
 import numpy as np
 import pytest
 
-from randic_energy import cli
+from randic_energy import cli, spectral
 from randic_energy.cli import main
 
 from helpers import reference_json
@@ -159,6 +160,25 @@ def test_one_eigensolve_per_graph(capsys, monkeypatch, argv):
     code, _, _ = run_json(capsys, *argv)
     assert code == 0
     assert len(calls) == 1
+
+
+def test_coulson_builds_r_once(capsys, monkeypatch):
+    real, built = spectral.randic_matrix, []
+
+    def recording(g, **kwargs):
+        built.append(real(g, **kwargs))
+        return built[-1]
+
+    # every module that looks the builder up by name, as a tracer would
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("randic_energy")
+                and getattr(module, "randic_matrix", None) is real):
+            monkeypatch.setattr(module, "randic_matrix", recording)
+    code, report, _ = run_json(capsys, "coulson", "--family", "path", "--n", "30")
+    assert code == 0
+    assert len(report["results"]) == 30
+    assert len(built) >= 30  # each vertex's integrand asks for R
+    assert len({id(r) for r in built}) == 1
 
 
 def test_vertex_selector(capsys):

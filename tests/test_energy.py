@@ -316,3 +316,29 @@ def test_partition_split_property(seed, n):
     half = graph_energy(g) / 2.0
     assert a == pytest.approx(half, abs=1e-9)
     assert b == pytest.approx(half, abs=1e-9)
+
+
+# ------------------------------------------------------- one solve per graph
+
+def test_audit_layers_share_one_eigensolve(monkeypatch):
+    """bounds_report, series_energies and vertex_order_check, run in turn on
+    one bipartite graph as the random-suite audits do, solve R once."""
+    from randic_energy.bounds import bounds_report
+    from randic_energy.charpoly import vertex_order_check
+    from randic_energy.random_graphs import random_connected_bipartite_graph
+
+    eigh, calls = np.linalg.eigh, []
+
+    def counting_eigh(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    g = random_connected_bipartite_graph(random.Random(9001), 12, 0.4)
+    report = bounds_report(g)
+    series = series_energies(g)
+    check = vertex_order_check(g, 0, g.n - 1, strict=False)
+    assert calls == [(12, 12)]
+    assert check.energy_v == report.vertices[0].energy
+    assert series.energies[0] == pytest.approx(report.vertices[0].energy,
+                                               abs=series.tail_bound + 1e-12)

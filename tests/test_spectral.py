@@ -17,6 +17,7 @@ from randic_energy.spectral import (
     matrix_abs,
     power_diag,
     randic_matrix,
+    randic_spectrum,
     symmetrize,
 )
 
@@ -42,6 +43,35 @@ def test_randic_matrix_is_exactly_symmetric():
     g = random_connected_graph(random.Random(3), 12)
     r = randic_matrix(g)
     assert np.array_equal(r, r.T)
+
+
+def test_randic_matrix_is_one_read_only_array_per_graph():
+    g = cycle(6)
+    r = randic_matrix(g)
+    assert randic_matrix(g) is r
+    assert randic_matrix(g, allow_isolated=True) is r
+    with pytest.raises(ValueError, match="read-only"):
+        r[0, 1] = 0.0
+    assert r[0, 1] == 0.5
+
+
+def test_randic_spectrum_is_solved_once_per_graph(monkeypatch):
+    g = cycle(6)
+    eigh, calls = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+    dec = randic_spectrum(g)
+    assert randic_spectrum(g) is dec
+    assert len(calls) == 1
+    assert not dec.values.flags.writeable and not dec.vectors.flags.writeable
+    np.testing.assert_array_equal(dec.values, eigen_symmetric(randic_matrix(g)).values)
+
+
+def test_memoised_fields_leave_equality_and_hash_alone():
+    g, h = cycle(6), cycle(6)
+    randic_spectrum(g)
+    assert g == h
+    assert hash(g) == hash(h)
+    assert repr(g) == repr(h)
 
 
 def test_randic_matrix_rejects_isolated():
