@@ -8,11 +8,17 @@ sums of R2 * R2 (R2 is symmetric). No eigensolve is involved, so the bounds
 are an independent check on the spectral pipeline. ``UPPER_BOUNDS`` and
 ``LOWER_BOUNDS`` hold each formula once; the report pairs every bound with
 its slack and flags vertices where a bound is attained.
+
+``bounds_report`` returns fully built rows: every ``BoundValue``, an
+immutable named tuple, exists when the call returns. It evaluates each
+formula, slack and equality flag as one array over the vertices and makes
+the rows from those columns in bulk.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,7 +29,7 @@ from .graph import (
     is_complete_bipartite,
     star_center,
 )
-from .energy import vertex_energies
+from .energy import _check_vertex, vertex_energies
 from .spectral import randic_matrix
 
 #: numerical tolerance for declaring a bound attained
@@ -35,11 +41,6 @@ VIOLATION_TOL = 1e-9
 #: reported but kept out of hard assertions until the audit over the
 #: random suite (scripts/holder_audit.py) clears it
 REPORT_ONLY = ("lower_holder",)
-
-
-def _check_vertex(g: Graph, i: int) -> None:
-    if not (0 <= i < g.n):
-        raise ValueError(f"vertex {i} out of range for n={g.n}")
 
 
 def _refined(s: np.ndarray, q: np.ndarray, gamma: np.ndarray) -> np.ndarray:
@@ -98,8 +99,9 @@ def general_randic_index(g: Graph, alpha: float) -> float:
 
 # ------------------------------------------------------------------ report
 
-@dataclass(frozen=True)
-class BoundValue:
+class BoundValue(NamedTuple):
+    """One bound at one vertex."""
+
     name: str
     value: float
     kind: str  # "upper" or "lower"
@@ -173,37 +175,44 @@ def bounds_report(g: Graph, *, equality_tol: float = EQUALITY_TOL) -> BoundsRepo
     s = np.diag(r2)
     q = (r2 * r2).sum(axis=1)
     gamma = np.asarray(g.degrees, dtype=float) / (2.0 * g.m)
-    # Python floats throughout, so the report serializes as plain JSON
-    columns = [(name, kind, f(s, q, gamma).tolist())
-               for kind, table in (("upper", UPPER_BOUNDS), ("lower", LOWER_BOUNDS))
-               for name, f in table.items()]
+    names, kinds, formulas = zip(*(
+        (name, kind, f) for kind, table in (("upper", UPPER_BOUNDS), ("lower", LOWER_BOUNDS))
+        for name, f in table.items()))
+    values = np.stack([f(s, q, gamma) for f in formulas])  # (bounds, n)
+    energies = np.array(vec.energies)
+    upper = np.array([kind == "upper" for kind in kinds])[:, None]
+    slack = np.where(upper, values - energies, energies - values)
+    equal = np.abs(slack) <= equality_tol
     labels = _equality_labels(g)
-    s_values, q_values = s.tolist(), q.tolist()
 
-    vertices = []
-    for i, actual in enumerate(vec.energies):
-        entries = []
-        for name, kind, values in columns:
-            slack = values[i] - actual if kind == "upper" else actual - values[i]
-            equal = abs(slack) <= equality_tol
-            entries.append(BoundValue(
-                name=name, value=values[i], kind=kind, slack=slack, equal=equal,
-                equality_case=labels[i] if equal else None,
-                asserted=name not in REPORT_ONLY,
-            ))
-        vertices.append(VertexBounds(vertex=i, energy=actual, s=s_values[i],
-                                     q=q_values[i], bounds=tuple(entries)))
+    # one vertex's bounds are consecutive, in table order; Python floats
+    # throughout, so the report serializes as plain JSON
+    n, count = g.n, len(names)
+    rows = list(map(BoundValue._make, zip(
+        names * n,
+        values.T.ravel().tolist(),
+        kinds * n,
+        slack.T.ravel().tolist(),
+        equal.T.ravel().tolist(),
+        [label if eq else None
+         for label, flags in zip(labels, equal.T.tolist()) for eq in flags],
+        [name not in REPORT_ONLY for name in names] * n,
+    )))
+    vertices = tuple([
+        VertexBounds(vertex=i, energy=actual, s=s_i, q=q_i,
+                     bounds=tuple(rows[i * count:(i + 1) * count]))
+        for i, (actual, s_i, q_i) in enumerate(zip(vec.energies, s.tolist(), q.tolist()))
+    ])
 
     r_minus1 = general_randic_index(g, -1.0)
+    holder = names.index("lower_holder")
     return BoundsReport(
         n=g.n,
         m=g.m,
         energy_total=vec.total,
-        vertices=tuple(vertices),
+        vertices=vertices,
         randic_index_minus1=r_minus1,
         graph_lower=2.0 * r_minus1,
-        graph_upper=sum(vb.bound("cauchy_schwarz").value for vb in vertices),
-        holder_valid=all(
-            vb.bound("lower_holder").slack >= -VIOLATION_TOL for vb in vertices
-        ),
+        graph_upper=sum(values[names.index("cauchy_schwarz")].tolist()),
+        holder_valid=bool((slack[holder] >= -VIOLATION_TOL).all()),
     )

@@ -7,9 +7,14 @@ route "series"         truncated binomial expansion of sqrt(R^2)
 "eigen-weights" and "abs-diagonal" share one decomposition, ``randic_spectrum``,
 so their delta checks only the |R| product. The routes independent of the
 solve are the series and the Coulson quadrature (``coulson``).
+
+The series coefficients binom(1/2, k) come from one table per series length
+(``_series_table``), built once per process: ``series_energies``,
+``vertex_energy_series`` and ``series_tail_bound`` all read it.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -51,7 +56,12 @@ class SeriesEnergies:
 
     @property
     def total(self) -> float:
-        return float(sum(self.energies))
+        # left to right in plain doubles on every interpreter; sum() compensates
+        # from Python 3.12 on and would move the last digit of the report
+        total = 0.0
+        for energy in self.energies:
+            total += energy
+        return total
 
 
 def _check_graph(g: Graph) -> None:
@@ -59,6 +69,11 @@ def _check_graph(g: Graph) -> None:
         raise ValueError("vertex energy needs at least 2 vertices")
     if not is_connected(g):
         raise ValueError("graph must be connected")
+
+
+def _check_vertex(g: Graph, i: int) -> None:
+    if not (0 <= i < g.n):
+        raise ValueError(f"vertex {i} out of range for n={g.n}")
 
 
 def vertex_energies(g: Graph, *, route: str = ROUTE_EIGEN) -> VertexEnergyVector:
@@ -96,6 +111,44 @@ def _binomial_half_coefficients(terms: int):
         c *= (0.5 - k) / (k + 1)
 
 
+@dataclass(frozen=True)
+class _SeriesTable:
+    """What the series routes need of binom(1/2, k), k < terms; arrays read-only."""
+
+    coefficients: np.ndarray
+    #: 1 - sum_{k=1}^{terms-1} |binom(1/2,k)|, the most any vertex's sum drops
+    tail_bound: float
+    #: Paterson-Stockmeyer blocks: coefficients [j s, (j+1) s) with
+    #: s = len(blocks[0]) = ceil(sqrt(terms)), capped at _MAX_BLOCK
+    blocks: tuple[np.ndarray, ...]
+
+    @property
+    def terms(self) -> int:
+        return len(self.coefficients)
+
+
+def _series_table(terms: int) -> _SeriesTable:
+    """The shared table for a series of ``terms`` terms, capped at MAX_SERIES_TERMS."""
+    if terms < 1:
+        raise ValueError("need at least one term")
+    return _table_of_length(min(terms, MAX_SERIES_TERMS))
+
+
+# a few lengths are in use at a time; the longest table is about 160 kB
+@functools.lru_cache(maxsize=16)
+def _table_of_length(terms: int) -> _SeriesTable:
+    coeffs = list(_binomial_half_coefficients(terms))
+    kept = 0.0
+    for coeff in coeffs[1:]:
+        kept += abs(coeff)
+    s = min(math.isqrt(terms - 1) + 1, _MAX_BLOCK)  # ceil(sqrt(terms)), capped
+    coefficients = np.array(coeffs)
+    blocks = tuple(np.array(coeffs[j:j + s]) for j in range(0, terms, s))
+    for a in (coefficients,) + blocks:
+        a.flags.writeable = False
+    return _SeriesTable(coefficients=coefficients, tail_bound=1.0 - kept, blocks=blocks)
+
+
 def vertex_energy_series(g: Graph, i: int, terms: int) -> float:
     """Partial sum of sum_k binom(1/2,k) ((R^2 - I)^k)_ii through k = terms-1.
 
@@ -104,20 +157,17 @@ def vertex_energy_series(g: Graph, i: int, terms: int) -> float:
     decrease monotonically toward the energy.
     """
     _check_graph(g)
-    if not (0 <= i < g.n):
-        raise ValueError(f"vertex {i} out of range")
-    if terms < 1:
-        raise ValueError("need at least one term")
-    terms = min(terms, MAX_SERIES_TERMS)
+    _check_vertex(g, i)
+    coeffs = _series_table(terms).coefficients
     r = randic_matrix(g)
     b = r @ r - np.eye(g.n)
     # track the i-th column of B^k; only its i-th entry enters the sum
     col = np.zeros(g.n)
     col[i] = 1.0
     total = 0.0
-    for k, coeff in enumerate(_binomial_half_coefficients(terms)):
+    for k, coeff in enumerate(coeffs):
         total += coeff * col[i]
-        if k + 1 < terms:
+        if k + 1 < len(coeffs):
             col = b @ col
     return total
 
@@ -133,13 +183,8 @@ def series_energies(g: Graph, *, terms: int = 200) -> SeriesEnergies:
     reported energy lies in [true, true + tail_bound].
     """
     _check_graph(g)
-    if terms < 1:
-        raise ValueError("need at least one term")
-    terms = min(terms, MAX_SERIES_TERMS)
-    coeffs = list(_binomial_half_coefficients(terms))
-    kept = 0.0
-    for coeff in coeffs[1:]:
-        kept += abs(coeff)
+    table = _series_table(terms)
+    blocks = table.blocks
 
     # Paterson-Stockmeyer: p(B) = sum_j q_j(B) C^j with C = B^s, where each
     # block polynomial q_j = sum_i c_{js+i} B^i is a weighted sum of the
@@ -148,7 +193,7 @@ def series_energies(g: Graph, *, terms: int = 200) -> SeriesEnergies:
     n = g.n
     r = randic_matrix(g)
     r2 = r @ r
-    s = min(math.isqrt(terms - 1) + 1, _MAX_BLOCK)  # ceil(sqrt(terms)), capped
+    s = len(blocks[0])
     powers = np.empty((s, n, n))
     powers[0] = np.eye(n)
     # B^k = B^(k-1) R^2 - B^(k-1) keeps B's -1 diagonal out of the dot
@@ -159,9 +204,8 @@ def series_energies(g: Graph, *, terms: int = 200) -> SeriesEnergies:
         np.matmul(powers[k - 1], r2, out=powers[k])
         powers[k] -= powers[k - 1]
     flat = powers.reshape(s, n * n)
-    blocks = [np.array(coeffs[j:j + s]) for j in range(0, terms, s)]
     # only the diagonal of q_0 and of the last Horner product enter the result
-    totals = blocks[0] @ powers.diagonal(axis1=1, axis2=2)[:len(blocks[0])]
+    totals = blocks[0] @ powers.diagonal(axis1=1, axis2=2)
     if len(blocks) > 1:
         giant = powers[-1] @ r2 - powers[-1]
         acc = (blocks[-1] @ flat[:len(blocks[-1])]).reshape(n, n)
@@ -171,8 +215,8 @@ def series_energies(g: Graph, *, terms: int = 200) -> SeriesEnergies:
         totals += np.einsum("ik,ki->i", acc, giant)
     return SeriesEnergies(
         energies=tuple(totals.tolist()),
-        terms=terms,
-        tail_bound=1.0 - kept,
+        terms=table.terms,
+        tail_bound=table.tail_bound,
     )
 
 
@@ -180,17 +224,19 @@ def series_tail_bound(g: Graph, i: int, terms: int) -> float:
     """Exact truncation error of the series at vertex i.
 
     Uses sum_{k>=K} |binom(1/2,k)| x^k = (1 - sqrt(1-x)) - partial sum,
-    weighted per eigenvalue by y_ij^2 with x_j = 1 - lambda_j^2.
+    weighted per eigenvalue by y_ij^2 with x_j = 1 - lambda_j^2. Like the
+    series itself, ``terms`` is capped at MAX_SERIES_TERMS.
     """
-    if terms < 1:
-        raise ValueError("need at least one term")
+    _check_graph(g)
+    _check_vertex(g, i)
+    coeffs = _series_table(terms).coefficients
     dec = randic_spectrum(g)
     xs = np.clip(1.0 - dec.values ** 2, 0.0, 1.0)
     # sum_{k=1}^{terms-1} |binom(1/2,k)| x^k, then subtract from the closed
     # form of the full sum: sum_{k>=1} |binom(1/2,k)| x^k = 1 - sqrt(1-x)
     partial = np.zeros_like(xs)
     xpow = xs.copy()
-    for coeff in list(_binomial_half_coefficients(terms))[1:]:
+    for coeff in coeffs[1:]:
         partial += abs(coeff) * xpow
         xpow *= xs
     tail = (1.0 - np.sqrt(1.0 - xs)) - partial

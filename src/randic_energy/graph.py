@@ -42,6 +42,8 @@ class Graph:
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             canonical.add((u, v) if u < v else (v, u))
         edge_tuple = tuple(sorted(canonical))
+        # every (w, x) with w < x sorts before every (x, y), so each
+        # neighbour list comes out ascending
         neighbors: list[list[int]] = [[] for _ in range(n)]
         for u, v in edge_tuple:
             neighbors[u].append(v)
@@ -49,7 +51,7 @@ class Graph:
         # tuples built from lists, not generators: tuple(<generator>) resizes a
         # guessed-length tuple, which drains CPython's per-length free lists
         # into other lengths and grows a long-running process's memory
-        adjacency = tuple([tuple(sorted(ns)) for ns in neighbors])
+        adjacency = tuple([tuple(ns) for ns in neighbors])
         degrees = tuple([len(ns) for ns in adjacency])
         return cls(n=n, edges=edge_tuple, adjacency=adjacency, degrees=degrees)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -7,8 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from randic_energy.bounds import (
+    EQUALITY_TOL,
     LOWER_BOUNDS,
+    REPORT_ONLY,
     UPPER_BOUNDS,
+    VIOLATION_TOL,
+    _equality_labels,
     adjacent_product_lower,
     bounds_report,
     general_randic_index,
@@ -16,7 +21,10 @@ from randic_energy.bounds import (
 )
 from randic_energy.energy import graph_energy, vertex_energies
 from randic_energy.graph import Graph, parse_edge_list
-from randic_energy.random_graphs import random_connected_graph
+from randic_energy.random_graphs import (
+    random_connected_bipartite_graph,
+    random_connected_graph,
+)
 from randic_energy.spectral import power_diag, randic_matrix
 
 DEMO7 = parse_edge_list("n 7\n1 2\n2 3\n3 4\n2 4\n1 4\n4 5\n5 6\n4 6\n4 7\n")
@@ -400,3 +408,64 @@ def test_cauchy_schwarz_usually_tighter_than_series2():
             else:
                 ties += 1
     assert wins > ties
+
+
+# ------------------------------------------------------- rows built in bulk
+
+def _reference_report(g, equality_tol=EQUALITY_TOL):
+    """The report's rows and graph fields computed one entry at a time."""
+    vec = vertex_energies(g)
+    r = randic_matrix(g)
+    r2 = r @ r
+    s, q = np.diag(r2), (r2 * r2).sum(axis=1)
+    gamma = np.asarray(g.degrees, dtype=float) / (2.0 * g.m)
+    columns = [(name, kind, f(s, q, gamma).tolist())
+               for kind, table in (("upper", UPPER_BOUNDS), ("lower", LOWER_BOUNDS))
+               for name, f in table.items()]
+    labels = _equality_labels(g)
+    rows = []
+    for i, actual in enumerate(vec.energies):
+        for name, kind, values in columns:
+            slack = values[i] - actual if kind == "upper" else actual - values[i]
+            equal = abs(slack) <= equality_tol
+            rows.append((name, values[i], kind, slack, equal,
+                         labels[i] if equal else None, name not in REPORT_ONLY))
+    graph_upper = sum(row[1] for row in rows if row[0] == "cauchy_schwarz")
+    holder = [row[3] for row in rows if row[0] == "lower_holder"]
+    return rows, graph_upper, all(x >= -VIOLATION_TOL for x in holder)
+
+
+def _rows_graphs():
+    rng = random.Random(9001)
+    graphs = [random_connected_graph(rng, n, 0.4) for n in range(2, 21)]
+    graphs += [random_connected_bipartite_graph(rng, n, 0.5) for n in range(2, 21)]
+    # graphs where bounds are attained, so equality_case is filled in
+    return graphs + [star(6), complete(5), complete_bipartite(2, 3), cycle(4), DEMO7,
+                     Graph.from_edges(7, [(0, a) for a in range(1, 7)]
+                                      + [(1, 2), (3, 4), (5, 6)])]
+
+
+def test_bulk_rows_equal_the_per_entry_reference_exactly():
+    for g in _rows_graphs():
+        rep = bounds_report(g)
+        rows, graph_upper, holder_valid = _reference_report(g)
+        got = [tuple(b) for vb in rep.vertices for b in vb.bounds]
+        # repr tells -0.0 from 0.0 and a numpy scalar from a Python float
+        assert repr(got) == repr(rows), g
+        assert repr(rep.graph_upper) == repr(graph_upper)
+        assert rep.holder_valid is holder_valid
+        assert rep.randic_index_minus1 == general_randic_index(g, -1.0)
+        assert [vb.vertex for vb in rep.vertices] == list(range(g.n))
+
+
+def test_bound_values_are_immutable_and_reports_replaceable():
+    rep = bounds_report(star(5))
+    b = rep.vertices[0].bound("unit")
+    with pytest.raises(AttributeError):
+        b.value = 0.0
+    assert b._fields == ("name", "value", "kind", "slack", "equal",
+                         "equality_case", "asserted")
+    vb = dataclasses.replace(rep.vertices[0], energy=0.5)
+    assert vb.energy == 0.5 and vb.bounds == rep.vertices[0].bounds
+    changed = dataclasses.replace(rep, vertices=(vb,) + rep.vertices[1:])
+    assert changed.vertices[0].energy == 0.5 and changed.n == rep.n

@@ -323,6 +323,17 @@ def test_bounds_report_matches_golden(capsys, golden, argv):
     _assert_same_report(report, want)
 
 
+@pytest.mark.parametrize("golden, argv", [
+    ("energy_demo7.json", ("--file", DEMO7_PATH)),
+    ("energy_star12.json", ("--family", "star", "--n", "12")),
+])
+def test_energy_report_matches_golden_bytes(capsys, golden, argv):
+    code, out, _ = run(capsys, "energy", *argv, "--routes", "eigen,abs,series",
+                       "--format", "json")
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
+
+
 # --------------------------------------------------------------- charpoly
 
 def test_charpoly_two_routes_agree(capsys, p4_file):

@@ -8,9 +8,13 @@ from hypothesis import strategies as st
 
 from randic_energy.energy import (
     _MAX_BLOCK,
+    _binomial_half_coefficients,
+    _series_table,
+    MAX_SERIES_TERMS,
     ROUTE_ABS,
     ROUTE_EIGEN,
     ROUTE_SERIES,
+    SeriesEnergies,
     graph_energy,
     partition_energies,
     series_energies,
@@ -266,6 +270,48 @@ def test_series_validates_args():
         vertex_energy_series(path(3), 0, 0)
     with pytest.raises(ValueError):
         vertex_energy_series(path(3), 5, 3)
+
+
+def test_series_table_is_the_coefficient_loop_read_only():
+    for terms in BLOCK_EDGE_TERMS:
+        table = _series_table(terms)
+        want = list(_binomial_half_coefficients(terms))
+        assert [c.hex() for c in table.coefficients.tolist()] == [c.hex() for c in want]
+        assert table.terms == terms
+        kept = 0.0
+        for c in want[1:]:
+            kept += abs(c)
+        assert table.tail_bound == 1.0 - kept
+        assert len(table.blocks[0]) == min(math.isqrt(terms - 1) + 1, _MAX_BLOCK)
+        assert np.concatenate(table.blocks).tolist() == want
+        for array in (table.coefficients,) + table.blocks:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 2.0
+    assert _series_table(200) is _series_table(200)
+    assert _series_table(10 * MAX_SERIES_TERMS) is _series_table(MAX_SERIES_TERMS)
+
+
+def test_series_total_adds_left_to_right():
+    # a compensated sum (Python 3.12's sum()) would give 1.0000000000000002
+    series = SeriesEnergies(energies=(1.0, 1e-16, 1e-16), terms=1, tail_bound=0.0)
+    assert series.total == 1.0
+
+
+def test_series_tail_bound_validates_args():
+    p5 = path(5)
+    for bad in (-1, 5, 7):
+        with pytest.raises(ValueError, match="out of range"):
+            series_tail_bound(p5, bad, 10)
+    disconnected = Graph.from_edges(4, [(0, 1), (2, 3)])
+    with pytest.raises(ValueError, match="connected"):
+        series_tail_bound(disconnected, 0, 10)
+    with pytest.raises(ValueError, match="one term"):
+        series_tail_bound(p5, 0, 0)
+
+
+def test_series_tail_bound_caps_terms_like_the_series():
+    g = star(8)
+    assert series_tail_bound(g, 1, 10**6) == series_tail_bound(g, 1, MAX_SERIES_TERMS)
 
 
 def test_tail_bound_is_a_true_bound():

@@ -20,7 +20,12 @@ from randic_energy.graph import (
     serialize_edge_list,
     star_center,
 )
-from randic_energy.random_graphs import random_connected_graph
+from randic_energy.families import FamilyKind, FamilySpec, generate
+from randic_energy.random_graphs import (
+    random_connected_bipartite_graph,
+    random_connected_graph,
+    random_suite,
+)
 from helpers import relabel
 import random
 
@@ -61,6 +66,45 @@ def test_adjacency_sorted():
     assert g.adjacency[0] == (1, 2, 3)
     assert g.has_edge(0, 2) and g.has_edge(2, 0)
     assert not g.has_edge(1, 2)
+
+
+def _sorted_reference(n, edges):
+    """Graph.from_edges with every neighbour list sorted on its own."""
+    canonical = sorted({(min(u, v), max(u, v)) for u, v in edges})
+    neighbors = [[] for _ in range(n)]
+    for u, v in canonical:
+        neighbors[u].append(v)
+        neighbors[v].append(u)
+    adjacency = tuple(tuple(sorted(ns)) for ns in neighbors)
+    return Graph(n=n, edges=tuple(canonical), adjacency=adjacency,
+                 degrees=tuple(len(ns) for ns in adjacency))
+
+
+FAMILY_SPECS = (
+    [FamilySpec(kind, n=n) for kind in (FamilyKind.COMPLETE, FamilyKind.STAR,
+                                        FamilyKind.PATH) for n in range(2, 13)]
+    + [FamilySpec(FamilyKind.CYCLE, n=n) for n in range(3, 13)]
+    + [FamilySpec(FamilyKind.COMPLETE_BIPARTITE, n1=a, n2=b)
+       for a in range(1, 6) for b in range(1, 6)]
+    + [FamilySpec(FamilyKind.FRIENDSHIP, triangles=t) for t in range(1, 7)]
+)
+
+
+def test_from_edges_neighbour_lists_come_out_sorted():
+    assert {spec.kind for spec in FAMILY_SPECS} == set(FamilyKind)
+    rng = random.Random(9001)
+    graphs = random_suite(9001, 200)
+    graphs += [random_connected_bipartite_graph(rng, n, 0.5) for n in range(2, 21)]
+    graphs += [generate(spec) for spec in FAMILY_SPECS]
+    for g in graphs:
+        # renamed, flipped and shuffled, so the input order carries no hint
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        edges = [(perm[v], perm[u]) if rng.random() < 0.5 else (perm[u], perm[v])
+                 for u, v in g.edges]
+        rng.shuffle(edges)
+        for pairs in (g.edges, edges):
+            assert Graph.from_edges(g.n, pairs) == _sorted_reference(g.n, pairs)
 
 
 def test_handshake():
