@@ -24,12 +24,13 @@ import numpy as np
 
 from .graph import (
     Graph,
+    check_vertex,
     friendship_hub,
     is_complete,
     is_complete_bipartite,
     star_center,
 )
-from .energy import _check_vertex, vertex_energies
+from .energy import ordered_sum, vertex_energies
 from .spectral import randic_matrix
 
 #: numerical tolerance for declaring a bound attained
@@ -83,8 +84,8 @@ def upper_regular(n: int, k: int) -> float:
 
 def adjacent_product_lower(g: Graph, i: int, j: int) -> float:
     """Lower bound 1/(d_i d_j) on the product of two adjacent vertex energies."""
-    _check_vertex(g, i)
-    _check_vertex(g, j)
+    check_vertex(g.n, i)
+    check_vertex(g.n, j)
     if not g.has_edge(i, j):
         raise ValueError(f"vertices {i} and {j} are not adjacent")
     return 1.0 / (g.degrees[i] * g.degrees[j])
@@ -94,7 +95,7 @@ def general_randic_index(g: Graph, alpha: float) -> float:
     """R^(alpha) = sum over edges of (d_u d_v)^alpha."""
     if g.m == 0:
         raise ValueError("graph has no edges")
-    return sum((g.degrees[u] * g.degrees[v]) ** alpha for u, v in g.edges)
+    return ordered_sum((g.degrees[u] * g.degrees[v]) ** alpha for u, v in g.edges)
 
 
 # ------------------------------------------------------------------ report
@@ -213,6 +214,6 @@ def bounds_report(g: Graph, *, equality_tol: float = EQUALITY_TOL) -> BoundsRepo
         vertices=vertices,
         randic_index_minus1=r_minus1,
         graph_lower=2.0 * r_minus1,
-        graph_upper=sum(values[names.index("cauchy_schwarz")].tolist()),
+        graph_upper=ordered_sum(values[names.index("cauchy_schwarz")].tolist()),
         holder_valid=bool((slack[holder] >= -VIOLATION_TOL).all()),
     )

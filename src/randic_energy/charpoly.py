@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .graph import Graph, bipartition, delete_vertex
+from .graph import Graph, bipartition, check_vertex, delete_vertex
 from .energy import vertex_energies
 from .spectral import randic_matrix
 
@@ -237,8 +237,7 @@ def principal_submatrix_poly(g: Graph, v: int) -> Polynomial:
     Edge weights keep the degrees they had in g; this is not the same as
     the polynomial of the vertex-deleted graph, whose degrees drop.
     """
-    if not (0 <= v < g.n):
-        raise ValueError(f"vertex {v} out of range")
+    check_vertex(g.n, v)
     r = randic_matrix(g)
     keep = [i for i in range(g.n) if i != v]
     return char_poly_numeric(r[np.ix_(keep, keep)])

@@ -33,6 +33,7 @@ from .energy import (
     ROUTE_ABS,
     ROUTE_EIGEN,
     graph_energy,
+    ordered_sum,
     series_energies,
     vertex_energies,
 )
@@ -47,6 +48,7 @@ from .graph import (
     DisconnectedGraphError,
     Graph,
     GraphParseError,
+    check_vertex,
     connected_components,
     induced_subgraph,
     is_connected,
@@ -264,6 +266,15 @@ def _load(args) -> tuple[list[dict], list[str]]:
     return jobs, warnings
 
 
+def _vertex_index(vid: int, n: int, option: str) -> int:
+    """0-based index of the 1-based id ``vid`` given to ``option``."""
+    try:
+        check_vertex(n, vid - 1)
+    except ValueError:
+        raise CliError(f"{option}: id {vid} out of range 1..{n}") from None
+    return vid - 1
+
+
 def _selected(args, job) -> list[int]:
     """0-based vertex indices into the job's graph, honoring --vertex."""
     g = job["graph"]
@@ -276,11 +287,12 @@ def _selected(args, job) -> list[int]:
             vid = int(token)
         except ValueError:
             raise CliError(f"--vertex: {token!r} is not an integer id")
-        if vid not in job["ids"]:
-            if job["component"] is not None:
-                continue  # vertex lives in another component
-            raise CliError(f"--vertex: id {vid} out of range 1..{g.n}")
-        idx = job["ids"].index(vid)
+        if job["component"] is None:
+            idx = _vertex_index(vid, g.n, "--vertex")
+        elif vid in job["ids"]:
+            idx = job["ids"].index(vid)
+        else:
+            continue  # vertex lives in another component
         if idx not in ids:
             ids.append(idx)
     return ids
@@ -328,7 +340,7 @@ def _run_energy(job, args, warnings) -> dict:
         quadratures = [coulson_vertex_energy(g, i, cfg) for i in range(g.n)]
         converged = all(res.converged for res in quadratures)
         per_route["coulson"] = [res.value for res in quadratures]
-        meta["coulson"] = {"total": float(sum(per_route["coulson"])),
+        meta["coulson"] = {"total": ordered_sum(per_route["coulson"]),
                            "converged": converged, "tolerance": cfg.tolerance,
                            "evaluations": sum(res.evaluations for res in quadratures),
                            "error_estimate": max(res.error_estimate for res in quadratures)}
@@ -474,11 +486,10 @@ def _run_compare(job, args, warnings) -> dict:
     g = job["graph"]
     if args.v is None or args.w is None:
         raise CliError("compare requires --v and --w vertex ids")
-    for vid in (args.v, args.w):
-        if not 1 <= vid <= g.n:
-            raise CliError(f"vertex id {vid} out of range 1..{g.n}")
+    v = _vertex_index(args.v, g.n, "--v")
+    w = _vertex_index(args.w, g.n, "--w")
     try:
-        check = vertex_order_check(g, args.v - 1, args.w - 1,
+        check = vertex_order_check(g, v, w,
                                    mode=MODE_SUBMATRIX, tol=args.tol,
                                    strict=False)
     except ValueError as exc:

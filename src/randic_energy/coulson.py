@@ -35,7 +35,7 @@ import numpy as np
 
 from .charpoly import MODE_DELETED_GRAPH, MODE_SUBMATRIX
 from .energy import _check_graph
-from .graph import Graph, delete_vertex
+from .graph import Graph, check_vertex, delete_vertex
 from .spectral import ZERO_EIGENVALUE_TOL, randic_matrix
 
 #: Lanczos stops when the next off-diagonal coefficient is below this: the
@@ -147,8 +147,7 @@ def _deleted_graph_integrand(r: np.ndarray, r_deleted: np.ndarray):
 def coulson_integrand(g: Graph, i: int, *, mode: str = MODE_SUBMATRIX):
     """The integrand Re[1 - ix p_i(ix)/p(ix)] of vertex ``i`` as a function
     of x, vectorized over arrays."""
-    if not (0 <= i < g.n):
-        raise ValueError(f"vertex {i} out of range")
+    check_vertex(g.n, i)
     r = randic_matrix(g)
     if mode == MODE_SUBMATRIX:
         return _resolvent_integrand(*lanczos_coefficients(r, i))

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, bipartition, is_connected
+from .graph import Graph, bipartition, check_vertex, is_connected
 from .spectral import matrix_abs, randic_matrix, randic_spectrum
 
 ROUTE_EIGEN = "eigen-weights"
@@ -56,12 +57,14 @@ class SeriesEnergies:
 
     @property
     def total(self) -> float:
-        # left to right in plain doubles on every interpreter; sum() compensates
-        # from Python 3.12 on and would move the last digit of the report
-        total = 0.0
-        for energy in self.energies:
-            total += energy
-        return total
+        return ordered_sum(self.energies)
+
+
+def ordered_sum(values) -> float:
+    """Left-to-right sum in plain doubles, the same bits on every interpreter:
+    the builtin ``sum()`` of floats compensates from Python 3.12 on and would
+    move the last digit of a report."""
+    return functools.reduce(operator.add, values, 0.0)
 
 
 def _check_graph(g: Graph) -> None:
@@ -69,11 +72,6 @@ def _check_graph(g: Graph) -> None:
         raise ValueError("vertex energy needs at least 2 vertices")
     if not is_connected(g):
         raise ValueError("graph must be connected")
-
-
-def _check_vertex(g: Graph, i: int) -> None:
-    if not (0 <= i < g.n):
-        raise ValueError(f"vertex {i} out of range for n={g.n}")
 
 
 def vertex_energies(g: Graph, *, route: str = ROUTE_EIGEN) -> VertexEnergyVector:
@@ -157,7 +155,7 @@ def vertex_energy_series(g: Graph, i: int, terms: int) -> float:
     decrease monotonically toward the energy.
     """
     _check_graph(g)
-    _check_vertex(g, i)
+    check_vertex(g.n, i)
     coeffs = _series_table(terms).coefficients
     r = randic_matrix(g)
     b = r @ r - np.eye(g.n)
@@ -228,7 +226,7 @@ def series_tail_bound(g: Graph, i: int, terms: int) -> float:
     series itself, ``terms`` is capped at MAX_SERIES_TERMS.
     """
     _check_graph(g)
-    _check_vertex(g, i)
+    check_vertex(g.n, i)
     coeffs = _series_table(terms).coefficients
     dec = randic_spectrum(g)
     xs = np.clip(1.0 - dec.values ** 2, 0.0, 1.0)
@@ -250,6 +248,5 @@ def partition_energies(g: Graph) -> tuple[float, float]:
     part = bipartition(g)
     if part is None:
         raise ValueError("graph is not bipartite")
-    side_a = sum(vec.energies[v] for v in part.side_a)
-    side_b = sum(vec.energies[v] for v in part.side_b)
-    return float(side_a), float(side_b)
+    return (ordered_sum(vec.energies[v] for v in part.side_a),
+            ordered_sum(vec.energies[v] for v in part.side_b))

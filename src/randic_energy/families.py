@@ -10,6 +10,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+from .energy import ordered_sum
 from .graph import Graph
 
 
@@ -161,7 +162,7 @@ def _cycle_energy(n: int) -> ClosedFormEnergy:
         return ClosedFormEnergy(2.0 / (n * math.sin(math.pi / n)), True)
     # no known closed form in this residue class: fall back to the exact
     # spectrum cos(2 pi k / n) of the normalized adjacency of a cycle
-    total = sum(abs(math.cos(2.0 * math.pi * k / n)) for k in range(n))
+    total = ordered_sum(abs(math.cos(2.0 * math.pi * k / n)) for k in range(n))
     return ClosedFormEnergy(total / n, False)
 
 

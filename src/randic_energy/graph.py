@@ -1,15 +1,23 @@
 """Simple undirected graphs: parsing, structural queries, and vertex surgery.
 
 Vertices are 0-based internally; edge-list files use 1-based ids. Graphs
-are immutable; what they memoise (edge set, connectivity, and ``spectral``'s
-R and spectrum) is computed at most once per thread race, and any copy is
-equal, so graphs are safe to share across threads.
+are immutable; what they memoise (edge arrays, edge set, connectivity, and
+``spectral``'s R and spectrum) is computed at most once per thread race and
+published only once filled, and any copy is equal, so graphs are safe to
+share across threads.
 """
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 from collections import deque
 from dataclasses import dataclass
+
+import numpy as np
+
+#: the largest vertex count whose edge keys ``u * n + v`` fit in an int64
+MAX_VERTICES = math.isqrt(np.iinfo(np.int64).max)
 
 
 class GraphParseError(ValueError):
@@ -18,6 +26,93 @@ class GraphParseError(ValueError):
 
 class DisconnectedGraphError(ValueError):
     """Operation requires a connected graph."""
+
+
+def check_vertex(n: int, i: int) -> None:
+    """Raise ``ValueError`` unless ``i`` names one of the vertices 0..n-1."""
+    if not 0 <= i < n:
+        raise ValueError(f"vertex {i} out of range for n={n}")
+
+
+def _pair_error(n: int, u, v) -> ValueError | None:
+    if u == v:
+        return ValueError(f"self-loop at vertex {u}")
+    if not (0 <= u < n and 0 <= v < n):
+        return ValueError(f"edge ({u}, {v}) out of range for n={n}")
+    return None
+
+
+def _first_pair_error(n: int, pairs, a: np.ndarray) -> ValueError:
+    u, v = a
+    bad = (u == v) | (u < 0) | (u >= n) | (v < 0) | (v >= n)
+    return _pair_error(n, *pairs[int(np.flatnonzero(bad)[0])])
+
+
+def _exact_pairs(n: int, pairs) -> np.ndarray:
+    """Pairs that numpy did not read as int64 pairs, checked one by one as
+    they stand, so that no float, string or oversized id is ever rounded,
+    parsed or wrapped into a vertex; ``(us, vs)`` as a (2, m) int64 array."""
+    for u, v in pairs:
+        for x in (u, v):
+            if not isinstance(x, (int, np.integer)):
+                raise TypeError(f"vertex id {x!r} of edge ({u!r}, {v!r}) is not an integer")
+        error = _pair_error(n, u, v)
+        if error is not None:
+            raise error
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+
+
+def _adjacency_entries(n: int, edges) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+    """The graph's edge structure from an iterable of (u, v) pairs, in one sort.
+
+    Each pair gives both orientations, as keys ``u * n + v`` and ``v * n + u``;
+    sorted with repeats dropped, they are the row-major positions of the
+    adjacency matrix's ones. Returns their rows ``src`` and columns ``dst``,
+    the mask of ``src < dst`` (one entry per edge, in edge order), and the
+    input positions, ascending, of the pairs that repeat an earlier one.
+
+    Raises ``TypeError`` for an id that is not an integer and ``ValueError``
+    for a self-loop or an id outside 0..n-1, naming the first such pair in
+    input order.
+    """
+    if n < 1:
+        raise ValueError(f"vertex count must be >= 1, got {n}")
+    if n > MAX_VERTICES:
+        raise ValueError(f"vertex count {n} exceeds {MAX_VERTICES}")
+    pairs = edges if isinstance(edges, (list, tuple)) else list(edges)
+    try:
+        # one column per pair; strict, so that every pair has two items
+        a = np.array(tuple(zip(*pairs, strict=True)))
+    except (TypeError, ValueError):
+        a = None
+    if a is None or a.dtype != np.int64 or a.shape != (2, len(pairs)):
+        a = _exact_pairs(n, pairs)
+    try:
+        keys = np.ravel_multi_index((a, a[::-1]), (n, n))
+    except ValueError:  # an id outside 0..n-1
+        raise _first_pair_error(n, pairs, a) from None
+    flat = keys.flatten()
+    flat.sort()
+    src, dst = np.unravel_index(flat, (n, n))
+    repeats: list[int] = []
+    later = flat[1:] == flat[:-1]
+    if np.count_nonzero(later):  # a self-loop's two keys are equal too
+        if np.count_nonzero(a[0] == a[1]):
+            raise _first_pair_error(n, pairs, a)
+        # with each pair's two keys side by side, a stable sort keeps input
+        # order within each run of equal keys: the first entry of the run
+        # of (lo, hi), lo < hi, is the earliest pair that gives the edge
+        order = np.argsort(keys.ravel(order="F"), kind="stable")
+        later = np.concatenate(([False], later))
+        repeats = np.sort(order[later & (src < dst)] // 2).tolist()
+        src, dst = src[~later], dst[~later]
+    return src, dst, src < dst, repeats
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 @dataclass(frozen=True)
@@ -32,28 +127,24 @@ class Graph:
     @classmethod
     def from_edges(cls, n: int, edges) -> Graph:
         """Build a graph from an iterable of (u, v) pairs; duplicates collapse."""
-        if n < 1:
-            raise ValueError(f"vertex count must be >= 1, got {n}")
-        canonical = set()
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            canonical.add((u, v) if u < v else (v, u))
-        edge_tuple = tuple(sorted(canonical))
-        # every (w, x) with w < x sorts before every (x, y), so each
-        # neighbour list comes out ascending
-        neighbors: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edge_tuple:
-            neighbors[u].append(v)
-            neighbors[v].append(u)
-        # tuples built from lists, not generators: tuple(<generator>) resizes a
+        return cls._from_entries(n, *_adjacency_entries(n, edges)[:3])
+
+    @classmethod
+    def _from_entries(cls, n: int, src: np.ndarray, dst: np.ndarray,
+                      upper: np.ndarray) -> Graph:
+        lo, hi = _read_only(src[upper], dst[upper])
+        degrees = np.bincount(src, minlength=n).tolist()
+        # entries run row by row, each row's columns ascending
+        neighbours = dst.tolist()
+        ends = list(itertools.accumulate(degrees))
+        # tuples built from lists, not iterators: tuple(<iterator>) resizes a
         # guessed-length tuple, which drains CPython's per-length free lists
         # into other lengths and grows a long-running process's memory
-        adjacency = tuple([tuple(ns) for ns in neighbors])
-        degrees = tuple([len(ns) for ns in adjacency])
-        return cls(n=n, edges=edge_tuple, adjacency=adjacency, degrees=degrees)
+        adjacency = tuple([tuple(neighbours[a:b]) for a, b in zip([0] + ends, ends)])
+        g = cls(n=n, edges=tuple(list(zip(lo.tolist(), hi.tolist()))),
+                adjacency=adjacency, degrees=tuple(degrees))
+        g.__dict__["_edge_arrays"] = (lo, hi)
+        return g
 
     @property
     def m(self) -> int:
@@ -65,6 +156,13 @@ class Graph:
         return (u, v) in self._edge_set
 
     # cached_property writes the instance __dict__ directly, past frozen=True
+    @functools.cached_property
+    def _edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only int64 arrays ``(lo, hi)`` of ``edges``; ``from_edges``
+        fills them in as it builds the graph."""
+        src, dst, upper, _ = _adjacency_entries(self.n, self.edges)
+        return _read_only(src[upper], dst[upper])
+
     @functools.cached_property
     def _edge_set(self) -> frozenset:
         return frozenset(self.edges)
@@ -103,10 +201,8 @@ def parse_edge_list_report(text: str) -> tuple[Graph, list[str]]:
     counted as warnings.
     """
     declared_n: int | None = None
-    raw_edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    warnings: list[str] = []
-    max_id = 0
+    pairs: list[tuple[int, int]] = []
+    linenos: list[int] = []
     first_content_line = True
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -137,22 +233,24 @@ def parse_edge_list_report(text: str) -> tuple[Graph, list[str]]:
             raise GraphParseError(f"line {lineno}: vertex ids are 1-based, got {line!r}")
         if u == v:
             raise GraphParseError(f"line {lineno}: self-loop at vertex {u}")
-        max_id = max(max_id, u, v)
-        key = (u - 1, v - 1) if u < v else (v - 1, u - 1)
-        if key in seen:
-            warnings.append(f"line {lineno}: duplicate edge {u} {v} ignored")
-            continue
-        seen.add(key)
-        raw_edges.append(key)
+        pairs.append((u - 1, v - 1))
+        linenos.append(lineno)
 
-    if declared_n is None and not raw_edges:
+    if declared_n is None and not pairs:
         raise GraphParseError("empty input: no header and no edges")
+    max_id = max(itertools.chain.from_iterable(pairs), default=-1) + 1
     n = declared_n if declared_n is not None else max_id
     if declared_n is not None and max_id > declared_n:
         raise GraphParseError(
             f"edge references vertex {max_id} but header declares n={declared_n}"
         )
-    return Graph.from_edges(n, raw_edges), warnings
+    try:
+        src, dst, upper, repeats = _adjacency_entries(n, pairs)
+    except ValueError as exc:  # a vertex count past MAX_VERTICES
+        raise GraphParseError(str(exc)) from None
+    warnings = [f"line {linenos[j]}: duplicate edge {pairs[j][0] + 1} {pairs[j][1] + 1} ignored"
+                for j in repeats]
+    return Graph._from_entries(n, src, dst, upper), warnings
 
 
 def serialize_edge_list(g: Graph) -> str:
@@ -220,8 +318,7 @@ def bipartition(g: Graph) -> Bipartition | None:
 
 def delete_vertex(g: Graph, v: int) -> Graph:
     """Remove v and its edges; remaining ids compact down preserving order."""
-    if not (0 <= v < g.n):
-        raise ValueError(f"vertex {v} out of range for n={g.n}")
+    check_vertex(g.n, v)
     return induced_subgraph(g, [u for u in range(g.n) if u != v])
 
 

@@ -10,12 +10,11 @@ these two numbers are what a reader needs to judge them.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, check_vertex
 
 #: eigenvalues below this magnitude are snapped to exactly zero so that
 #: rank decisions and zero-spectrum detectors are stable
@@ -60,14 +59,17 @@ def randic_matrix(g: Graph, *, allow_isolated: bool = False) -> np.ndarray:
     ``allow_isolated`` they simply contribute zero rows (used for
     characteristic polynomials of vertex-deleted graphs).
     """
-    if not allow_isolated and any(d == 0 for d in g.degrees):
+    if not allow_isolated and 0 in g.degrees:
         isolated = [v for v in range(g.n) if g.degrees[v] == 0]
         raise DegenerateDegreeError(f"isolated vertices {isolated} have degree 0")
     r = g.__dict__.get("_randic_matrix")
     if r is None:
+        lo, hi = g._edge_arrays
+        d = np.array(g.degrees, dtype=float)
         r = np.zeros((g.n, g.n))
-        for u, v in g.edges:
-            r[u, v] = r[v, u] = 1.0 / math.sqrt(g.degrees[u] * g.degrees[v])
+        # the bits of 1.0 / math.sqrt(d_u * d_v): the product of two exact
+        # integers, a square root and a quotient, each rounded once
+        r[lo, hi] = r[hi, lo] = 1.0 / np.sqrt(d[lo] * d[hi])
         r.flags.writeable = False
         g.__dict__["_randic_matrix"] = r  # only once filled: other threads may read it
     return r
@@ -139,8 +141,6 @@ def power_diag(m: np.ndarray, k: int, i: int,
         raise ValueError("power must be nonnegative")
     if decomposition is None:
         decomposition = eigen_symmetric(m)
-    n = decomposition.n
-    if not (0 <= i < n):
-        raise ValueError(f"vertex {i} out of range for n={n}")
+    check_vertex(decomposition.n, i)
     weights = decomposition.vectors[i, :] ** 2
     return float(np.dot(weights, decomposition.values ** k))

@@ -16,6 +16,14 @@ def relabel(g: Graph, permutation) -> Graph:
     return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
 
 
+def randic_matrix_per_edge(g: Graph) -> np.ndarray:
+    """R built one edge at a time, isolated vertices left as zero rows."""
+    r = np.zeros((g.n, g.n))
+    for u, v in g.edges:
+        r[u, v] = r[v, u] = 1.0 / math.sqrt(g.degrees[u] * g.degrees[v])
+    return r
+
+
 def friendship_hub_weights() -> tuple[float, float, float]:
     """Spectral weights of the friendship hub across the three eigenvalue groups.
 

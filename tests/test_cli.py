@@ -408,6 +408,18 @@ def test_compare_rejects_odd_cycle(capsys):
     assert "bipartite" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("energy", "--vertex", "2,9"), "--vertex: id 9 out of range 1..5"),
+    (("coulson", "--vertex", "0"), "--vertex: id 0 out of range 1..5"),
+    (("compare", "--v", "0", "--w", "2"), "--v: id 0 out of range 1..5"),
+    (("compare", "--v", "1", "--w", "6"), "--w: id 6 out of range 1..5"),
+])
+def test_cli_vertex_range_checks_speak_one_based(capsys, argv, message):
+    code, out, err = run(capsys, *argv, "--family", "path", "--n", "5")
+    assert code == 2 and out == ""
+    assert err.strip().endswith(message)
+
+
 def test_compare_requires_vertex_pair(capsys, p4_file):
     code, _, err = run(capsys, "compare", "--file", p4_file)
     assert code == 2

@@ -1,4 +1,7 @@
+import functools
+import json
 import math
+import operator
 import random
 
 import numpy as np
@@ -22,8 +25,11 @@ from randic_energy.energy import (
     vertex_energies,
     vertex_energy_series,
 )
-from randic_energy.graph import Graph, parse_edge_list
-from randic_energy.random_graphs import random_connected_graph
+from randic_energy.bounds import bounds_report, general_randic_index
+from randic_energy.cli import main
+from randic_energy.families import FamilyKind, FamilySpec, VertexClass, closed_form_energy
+from randic_energy.graph import Graph, bipartition, parse_edge_list
+from randic_energy.random_graphs import random_connected_bipartite_graph, random_connected_graph
 from helpers import relabel
 
 # 7-vertex running example used throughout; energies frozen from an
@@ -295,6 +301,35 @@ def test_series_total_adds_left_to_right():
     # a compensated sum (Python 3.12's sum()) would give 1.0000000000000002
     series = SeriesEnergies(energies=(1.0, 1e-16, 1e-16), terms=1, tail_bound=0.0)
     assert series.total == 1.0
+
+
+def _left_to_right(terms):
+    return functools.reduce(operator.add, terms)
+
+
+def test_float_totals_add_left_to_right(capsys):
+    """Each reported total is the plain left-to-right sum of its terms. On
+    every input here the correctly rounded sum differs, so a compensated
+    sum (Python 3.12's sum()) would move the last digit."""
+    report = bounds_report(DEMO7)
+    bip = random_connected_bipartite_graph(random.Random(18), 12, 0.4)
+    vec, part = vertex_energies(bip), bipartition(bip)
+    g = star(12)
+    cases = [
+        (report.graph_upper, [vb.bound("cauchy_schwarz").value for vb in report.vertices]),
+        (general_randic_index(g, -0.5), [(g.degrees[u] * g.degrees[v]) ** -0.5 for u, v in g.edges]),
+        (partition_energies(bip)[0], [vec.energies[v] for v in part.side_a]),
+        (partition_energies(bip)[1], [vec.energies[v] for v in part.side_b]),
+        (7 * closed_form_energy(FamilySpec(FamilyKind.CYCLE, n=7), VertexClass.ANY).value,
+         [abs(math.cos(2.0 * math.pi * k / 7)) for k in range(7)]),
+    ]
+    assert main(["energy", "--routes", "coulson", "--family", "path", "--n", "8",
+                 "--format", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    cases.append((out["routes"]["coulson"]["total"], [r["coulson"] for r in out["results"]]))
+    for total, terms in cases:
+        assert math.fsum(terms) != _left_to_right(terms)
+        assert total.hex() == _left_to_right(terms).hex()
 
 
 def test_series_tail_bound_validates_args():

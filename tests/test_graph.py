@@ -1,12 +1,21 @@
+import re
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from randic_energy.bounds import adjacent_product_lower
+from randic_energy.charpoly import principal_submatrix_poly
+from randic_energy.coulson import coulson_integrand, coulson_vertex_energy
+from randic_energy.energy import series_tail_bound, vertex_energy_series
 from randic_energy.graph import (
+    MAX_VERTICES,
     DisconnectedGraphError,
     Graph,
     GraphParseError,
     bipartition,
+    check_vertex,
     connected_components,
     delete_vertex,
     disjoint_union,
@@ -19,6 +28,7 @@ from randic_energy.graph import (
     parse_edge_list_report,
     serialize_edge_list,
     star_center,
+    _adjacency_entries,
 )
 from randic_energy.families import FamilyKind, FamilySpec, generate
 from randic_energy.random_graphs import (
@@ -26,6 +36,7 @@ from randic_energy.random_graphs import (
     random_connected_graph,
     random_suite,
 )
+from randic_energy.spectral import power_diag, randic_matrix
 from helpers import relabel
 import random
 
@@ -107,6 +118,107 @@ def test_from_edges_neighbour_lists_come_out_sorted():
             assert Graph.from_edges(g.n, pairs) == _sorted_reference(g.n, pairs)
 
 
+@st.composite
+def edge_multisets(draw):
+    """A vertex count and a list of pairs over it, with repeats in either
+    orientation; possibly no pairs at all, and n = 1."""
+    n = draw(st.integers(1, 12))
+    if n == 1:
+        return n, []
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    pairs = draw(st.lists(pair, max_size=40))
+    repeats = draw(st.lists(st.sampled_from(pairs), max_size=10)) if pairs else []
+    pairs += [(v, u) for u, v in repeats]
+    return n, draw(st.permutations(pairs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_multisets())
+def test_from_edges_is_the_reference_on_edge_multisets(case):
+    n, pairs = case
+    expected = _sorted_reference(n, pairs)
+    for given_as in (pairs, tuple(pairs), iter(pairs), (p for p in pairs),
+                     [list(p) for p in pairs]):
+        g = Graph.from_edges(n, given_as)
+        assert g == expected
+        assert all(type(x) is int for e in g.edges for x in e)
+        assert all(type(x) is int for x in g.degrees)
+        assert all(type(x) is int for ns in g.adjacency for x in ns)
+
+
+def test_from_edges_empty_and_single_vertex():
+    assert Graph.from_edges(1, []) == Graph(n=1, edges=(), adjacency=((),), degrees=(0,))
+    assert Graph.from_edges(3, iter(())) == Graph(
+        n=3, edges=(), adjacency=((), (), ()), degrees=(0, 0, 0))
+
+
+@pytest.mark.parametrize("pairs, message", [
+    ([(0, 1), (2, 2), (0, 9)], "self-loop at vertex 2"),
+    ([(0, 1), (0, 9), (2, 2)], "edge (0, 9) out of range for n=4"),
+    ([(5, 5), (0, 9)], "self-loop at vertex 5"),  # a pair's loop wins over its range
+    ([(0, 1), (-1, 2), (3, 3)], "edge (-1, 2) out of range for n=4"),
+    ([(0, 1), (1, 0), (3, 3), (9, 0)], "self-loop at vertex 3"),  # behind a repeat
+    ([(0, 1), (2, 2**70)], f"edge (2, {2**70}) out of range for n=4"),
+    ([(2**63, 0)], f"edge ({2**63}, 0) out of range for n=4"),
+    ([(0, 1), (1, 1), (0, 0.5)], "self-loop at vertex 1"),
+])
+def test_the_first_offending_pair_names_the_error(pairs, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Graph.from_edges(4, pairs)
+
+
+@pytest.mark.parametrize("pairs", [
+    [(0, 0.5)], [(0, 1.0)], [(0, 1), (1, 2.0)], [(0, "1")], [("0", "1")],
+    [(0, np.float64(1.0))], [(0, None)], [(0, 1), (b"1", 2)],
+])
+def test_from_edges_rejects_non_integer_ids(pairs):
+    with pytest.raises(TypeError, match="is not an integer"):
+        Graph.from_edges(4, pairs)
+
+
+@pytest.mark.parametrize("pairs", [[(0, 1, 2)], [(0, 1), (2,)], [(0, 1), (2, 3, 1)], [(0, 1), 5]])
+def test_from_edges_rejects_pairs_that_are_not_pairs(pairs):
+    with pytest.raises((TypeError, ValueError)):
+        Graph.from_edges(4, pairs)
+
+
+def test_from_edges_never_truncates_or_wraps():
+    # each of these would land on a valid vertex if rounded, parsed or wrapped
+    for bad in (0.9, "1", 2**64 + 1, 2**64, -(2**64) + 1):
+        with pytest.raises((TypeError, ValueError)):
+            Graph.from_edges(4, [(0, 2), (bad, 3)])
+    # numpy integers and bools are integers, taken as their value
+    g = Graph.from_edges(4, [(np.int32(0), np.uint64(3)), (True, 2)])
+    assert g.edges == ((0, 3), (1, 2))
+
+
+def test_from_edges_keys_stay_inside_int64():
+    with pytest.raises(ValueError, match="exceeds"):
+        Graph.from_edges(MAX_VERTICES + 1, [])
+    # the largest allowed n: the last key, n**2 - 1, still fits
+    n = MAX_VERTICES
+    assert (n * n - 1) <= np.iinfo(np.int64).max < (n + 1) * (n + 1) - 1
+    src, dst, upper, repeats = _adjacency_entries(n, [(n - 1, n - 2), (0, n - 1), (n - 2, n - 1)])
+    assert src.tolist() == [0, n - 2, n - 1, n - 1]
+    assert dst.tolist() == [n - 1, n - 1, 0, n - 2]
+    assert upper.tolist() == [True, True, False, False]
+    assert repeats == [2]
+
+
+def test_edge_arrays_are_read_only_and_match_edges():
+    rng = random.Random(9001)
+    for g in random_suite(9001, 20) + [random_connected_graph(rng, 60, 0.2)]:
+        direct = Graph(n=g.n, edges=g.edges, adjacency=g.adjacency, degrees=g.degrees)
+        for h in (g, direct):  # filled in by from_edges, or derived from edges
+            lo, hi = h._edge_arrays
+            assert lo.dtype == hi.dtype == np.int64
+            assert list(zip(lo.tolist(), hi.tolist())) == list(g.edges)
+            for a in (lo, hi):
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[...] = 0
+
+
 def test_handshake():
     for g in [path(5), cycle(6), complete(4)]:
         assert sum(g.degrees) == 2 * g.m
@@ -166,6 +278,48 @@ def test_parse_warns_on_duplicate_edge():
     assert any("duplicate" in w for w in warnings)
 
 
+@pytest.mark.parametrize("text, n, edges, warnings", [
+    ("# head\n\nn 4   # count\n1 2\n\n  2 3  \n# 9 9\n3 4\n", 4,
+     ((0, 1), (1, 2), (2, 3)), []),
+    ("n 4\r\n1 2\r\n2 3\r\n\r\n3 4\r\n", 4, ((0, 1), (1, 2), (2, 3)), []),
+    ("5\n2 1\n", 5, ((0, 1),), []),
+    ("3 1\n1 2\n", 3, ((0, 1), (0, 2)), []),
+    ("n 4\n1 2\n2 1\n3 2\n2 3\n1 2 # again\n4 1\n", 4,
+     ((0, 1), (0, 3), (1, 2)),
+     ["line 3: duplicate edge 2 1 ignored", "line 5: duplicate edge 2 3 ignored",
+      "line 6: duplicate edge 1 2 ignored"]),
+])
+def test_parse_graphs_and_warnings(text, n, edges, warnings):
+    g, got = parse_edge_list_report(text)
+    assert g == Graph.from_edges(n, edges)
+    assert g.edges == edges
+    assert got == warnings
+
+
+def test_parse_warns_on_each_repeat_in_line_order():
+    rng = random.Random(9001)
+    for trial in range(30):
+        n = rng.randrange(2, 30)
+        lines, seen, expected = [], set(), []
+        for lineno in range(2, 2 + rng.randrange(1, 120)):
+            u, v = rng.sample(range(1, n + 1), 2)
+            lines.append(f"{u} {v}")
+            key = (min(u, v), max(u, v))
+            if key in seen:
+                expected.append(f"line {lineno}: duplicate edge {u} {v} ignored")
+            seen.add(key)
+        g, warnings = parse_edge_list_report(f"n {n}\n" + "\n".join(lines) + "\n")
+        assert warnings == expected
+        assert g == _sorted_reference(n, [(u - 1, v - 1) for u, v in sorted(seen)])
+
+
+def test_parse_rejects_ids_past_the_largest_vertex_count():
+    with pytest.raises(GraphParseError, match="exceeds"):
+        parse_edge_list(f"1 {10**30}\n")
+    with pytest.raises(GraphParseError, match="header declares n=3"):
+        parse_edge_list(f"n 3\n1 {10**30}\n")
+
+
 def test_serialize_is_canonical():
     g1 = parse_edge_list("n 3\n2 3\n1 2\n")
     g2 = parse_edge_list("n 3\n1 2\n2 3\n")
@@ -199,6 +353,27 @@ def test_delete_vertex_counts():
         h = delete_vertex(g, v)
         assert h.n == 4
         assert h.m == g.m - g.degrees[v]
+
+
+def test_every_vertex_range_check_says_the_same():
+    g = path(5)
+    r = randic_matrix(g)
+    entry_points = [
+        lambda i: check_vertex(g.n, i),
+        lambda i: delete_vertex(g, i),
+        lambda i: vertex_energy_series(g, i, 10),
+        lambda i: series_tail_bound(g, i, 10),
+        lambda i: adjacent_product_lower(g, i, 1),
+        lambda i: adjacent_product_lower(g, 1, i),
+        lambda i: power_diag(r, 2, i),
+        lambda i: coulson_integrand(g, i),
+        lambda i: coulson_vertex_energy(g, i),
+        lambda i: principal_submatrix_poly(g, i),
+    ]
+    for entry_point in entry_points:
+        for i in (-1, 5, 9):
+            with pytest.raises(ValueError, match=f"^vertex {i} out of range for n=5$"):
+                entry_point(i)
 
 
 def test_disjoint_union_shifts():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from randic_energy.cli import main
 from randic_energy.families import complete_bipartite, friendship, star
-from randic_energy.graph import Graph
+from randic_energy.graph import Graph, delete_vertex, disjoint_union
 from randic_energy.random_graphs import random_connected_graph
 from randic_energy.spectral import (
     ConvergenceError,
@@ -20,6 +20,8 @@ from randic_energy.spectral import (
     randic_spectrum,
     symmetrize,
 )
+
+from helpers import randic_matrix_per_edge
 
 
 def cycle(n):
@@ -80,6 +82,30 @@ def test_randic_matrix_rejects_isolated():
         randic_matrix(g)
     r = randic_matrix(g, allow_isolated=True)
     assert np.all(r[2] == 0) and np.all(r[:, 2] == 0)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def test_randic_matrix_is_the_per_edge_loop_bit_for_bit():
+    rng = random.Random(9001)
+    graphs = [random_connected_graph(rng, n, p)
+              for n in (2, 3, 5, 10, 20, 24, 50, 100, 200) for p in (0.05, 0.2, 0.4, 0.9)]
+    graphs += [star(40), complete(30), complete_bipartite(7, 11), friendship(9)]
+    for g in graphs:
+        assert np.array_equal(_bits(randic_matrix(g)), _bits(randic_matrix_per_edge(g)))
+    # isolated vertices: a star or a sparse graph with a leaf's neighbour
+    # deleted, and graphs with a lone vertex
+    sparse = random_connected_graph(rng, 30, 0.05)
+    isolated = [delete_vertex(star(9), 0),
+                delete_vertex(sparse, sparse.adjacency[sparse.degrees.index(1)][0]),
+                Graph.from_edges(6, [(0, 1), (1, 2), (4, 5)]),
+                disjoint_union(complete(4), Graph.from_edges(1, [])), Graph.from_edges(3, [])]
+    for g in isolated:
+        assert 0 in g.degrees
+        r = randic_matrix(g, allow_isolated=True)
+        assert np.array_equal(_bits(r), _bits(randic_matrix_per_edge(g)))
 
 
 def test_row_sums_are_one_for_regular_graphs():
