@@ -34,36 +34,24 @@ def check_vertex(n: int, i: int) -> None:
         raise ValueError(f"vertex {i} out of range for n={n}")
 
 
-def _pair_error(n: int, u, v) -> ValueError | None:
-    if u == v:
-        return ValueError(f"self-loop at vertex {u}")
-    if not (0 <= u < n and 0 <= v < n):
-        return ValueError(f"edge ({u}, {v}) out of range for n={n}")
-    return None
-
-
-def _first_pair_error(n: int, pairs, a: np.ndarray) -> ValueError:
-    u, v = a
-    bad = (u == v) | (u < 0) | (u >= n) | (v < 0) | (v >= n)
-    return _pair_error(n, *pairs[int(np.flatnonzero(bad)[0])])
-
-
-def _exact_pairs(n: int, pairs) -> np.ndarray:
-    """Pairs that numpy did not read as int64 pairs, checked one by one as
-    they stand, so that no float, string or oversized id is ever rounded,
-    parsed or wrapped into a vertex; ``(us, vs)`` as a (2, m) int64 array."""
+def _checked_pairs(n: int, pairs) -> np.ndarray:
+    """The pairs checked one by one as they stand, so that no float, string
+    or oversized id is ever rounded, parsed or wrapped into a vertex: raises
+    at the first that is not two integer ids of distinct vertices in 0..n-1,
+    and otherwise returns them as a (2, m) int64 array."""
     for u, v in pairs:
         for x in (u, v):
             if not isinstance(x, (int, np.integer)):
                 raise TypeError(f"vertex id {x!r} of edge ({u!r}, {v!r}) is not an integer")
-        error = _pair_error(n, u, v)
-        if error is not None:
-            raise error
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
     return np.array(pairs, dtype=np.int64).reshape(-1, 2).T
 
 
 def _adjacency_entries(n: int, edges) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
-    """The graph's edge structure from an iterable of (u, v) pairs, in one sort.
+    """The graph's edge structure from an iterable of (u, v) pairs, by one sort.
 
     Each pair gives both orientations, as keys ``u * n + v`` and ``v * n + u``;
     sorted with repeats dropped, they are the row-major positions of the
@@ -86,11 +74,12 @@ def _adjacency_entries(n: int, edges) -> tuple[np.ndarray, np.ndarray, np.ndarra
     except (TypeError, ValueError):
         a = None
     if a is None or a.dtype != np.int64 or a.shape != (2, len(pairs)):
-        a = _exact_pairs(n, pairs)
+        a = _checked_pairs(n, pairs)
     try:
         keys = np.ravel_multi_index((a, a[::-1]), (n, n))
-    except ValueError:  # an id outside 0..n-1
-        raise _first_pair_error(n, pairs, a) from None
+    except ValueError:  # an id outside 0..n-1: name the first bad pair
+        _checked_pairs(n, pairs)
+        raise
     flat = keys.flatten()
     flat.sort()
     src, dst = np.unravel_index(flat, (n, n))
@@ -98,7 +87,7 @@ def _adjacency_entries(n: int, edges) -> tuple[np.ndarray, np.ndarray, np.ndarra
     later = flat[1:] == flat[:-1]
     if np.count_nonzero(later):  # a self-loop's two keys are equal too
         if np.count_nonzero(a[0] == a[1]):
-            raise _first_pair_error(n, pairs, a)
+            _checked_pairs(n, pairs)  # raises at the first loop
         # with each pair's two keys side by side, a stable sort keeps input
         # order within each run of equal keys: the first entry of the run
         # of (lo, hi), lo < hi, is the earliest pair that gives the edge
@@ -126,7 +115,11 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> Graph:
-        """Build a graph from an iterable of (u, v) pairs; duplicates collapse."""
+        """Build a graph from an iterable of (u, v) pairs; duplicates collapse.
+
+        Raises ``TypeError`` for an id that is not an integer and
+        ``ValueError`` for a self-loop or an id outside 0..n-1.
+        """
         return cls._from_entries(n, *_adjacency_entries(n, edges)[:3])
 
     @classmethod
