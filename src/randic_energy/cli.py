@@ -16,8 +16,9 @@ import math
 import os
 import sys
 from json.encoder import encode_basestring_ascii
+from typing import Callable, NamedTuple
 
-from .bounds import EQUALITY_TOL, BoundsReport, bounds_report
+from .bounds import EQUALITY_TOL, LOWER_BOUNDS, UPPER_BOUNDS, bounds_report
 from .charpoly import (
     MAX_ENUMERATION_N,
     ODD_COEFF_TOL,
@@ -45,7 +46,6 @@ from .families import (
     vertex_classes,
 )
 from .graph import (
-    DisconnectedGraphError,
     Graph,
     GraphParseError,
     check_vertex,
@@ -62,16 +62,6 @@ EXIT_NUMERIC = 3
 
 #: flag spelling -> computation route for the energy command
 ROUTE_NAMES = ("eigen", "abs", "series", "coulson")
-
-#: per-command meaning of --tol (documented in --help)
-DEFAULT_TOL = {
-    "energy": 1e-6,       # route agreement warning threshold
-    "bounds": EQUALITY_TOL,
-    "charpoly": ODD_COEFF_TOL,
-    "coulson": 1e-7,      # quadrature target
-    "compare": 1e-9,
-    "family-info": 1e-8,  # closed form vs computed check
-}
 
 
 class CliError(Exception):
@@ -201,66 +191,65 @@ def _family_spec(args) -> FamilySpec:
     except ValueError:
         names = ", ".join(k.value for k in FamilyKind)
         raise CliError(f"unknown family {args.family!r}; expected one of {names}")
-    try:
-        return FamilySpec(kind=kind, n=args.n, n1=args.n1, n2=args.n2,
-                          triangles=args.triangles)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    return FamilySpec(kind=kind, n=args.n, n1=args.n1, n2=args.n2,
+                      triangles=args.triangles)
 
 
-def _load(args) -> tuple[list[dict], list[str]]:
-    """Resolve the input source to a list of jobs and ingestion warnings.
+class Job(NamedTuple):
+    """One graph to analyze: the whole input, or one of its components."""
+    graph: Graph
+    ids: list[int]          # 1-based input id of each vertex
+    component: int | None   # component index under --per-component
+    selected: list[int]     # 0-based vertices picked by --vertex, in order
 
-    Each job is {"graph": Graph, "ids": 1-based original id per vertex,
-    "component": index or None}; one job normally, one per component
-    under --per-component.
-    """
+
+def _job(g: Graph, vertices, component: int | None, wanted: list[int]) -> Job:
+    """``vertices[i]`` is the input vertex behind g's vertex i (0-based)."""
+    index = {v: i for i, v in enumerate(vertices)}
+    return Job(g, [v + 1 for v in vertices], component,
+               [index[v] for v in wanted if v in index])
+
+
+def _load(args) -> tuple[list[Job], list[str]]:
+    """Resolve the input source to a list of jobs and ingestion warnings:
+    one job normally, one per component of at least 2 vertices under
+    --per-component."""
     if (args.file is None) == (args.family is None):
         raise CliError("exactly one of --file or --family is required")
-    warnings: list[str] = []
 
     if args.family is not None:
         if args.per_component:
             raise CliError("--per-component applies to --file input only")
-        spec = _family_spec(args)
-        g = generate(spec)
-        return [{"graph": g, "ids": list(range(1, g.n + 1)), "component": None,
-                 "label": spec.label()}], warnings
-
-    try:
-        with open(args.file, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise CliError(f"cannot read {args.file}: {exc.strerror or exc}")
-    try:
-        g, parse_warnings = parse_edge_list_report(text)
-    except GraphParseError as exc:
-        raise CliError(f"{args.file}: {exc}")
-    warnings.extend(parse_warnings)
-
-    if not args.per_component:
-        if args.command != "charpoly" and not is_connected(g):
+        g, warnings = generate(_family_spec(args)), []
+    else:
+        try:
+            with open(args.file, encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise CliError(f"cannot read {args.file}: {exc.strerror or exc}")
+        try:
+            g, warnings = parse_edge_list_report(text)
+        except GraphParseError as exc:
+            raise CliError(f"{args.file}: {exc}")
+        if not args.per_component and args.command != "charpoly" and not is_connected(g):
             raise CliError(
                 f"{args.file}: graph is disconnected; vertex energies are "
                 "defined for connected graphs only (re-run with "
                 "--per-component to analyze each component separately)"
             )
-        return [{"graph": g, "ids": list(range(1, g.n + 1)), "component": None,
-                 "label": args.file}], warnings
+    # --vertex names input ids, so it is checked against the whole input
+    wanted = _vertex_ids(args.vertex, g.n)
+    if not args.per_component:
+        return [_job(g, range(g.n), None, wanted)], warnings
 
     jobs = []
     for k, comp in enumerate(connected_components(g)):
-        if len(comp) == 1 and args.command != "charpoly":
+        if len(comp) == 1:
             warnings.append(
                 f"component {k} is a single vertex ({comp[0] + 1}); skipped"
             )
             continue
-        jobs.append({
-            "graph": induced_subgraph(g, comp),
-            "ids": [v + 1 for v in comp],
-            "component": k,
-            "label": f"{args.file}#component{k}",
-        })
+        jobs.append(_job(induced_subgraph(g, comp), comp, k, wanted))
     if not jobs:
         raise CliError(f"{args.file}: no component with at least 2 vertices")
     return jobs, warnings
@@ -275,53 +264,42 @@ def _vertex_index(vid: int, n: int, option: str) -> int:
     return vid - 1
 
 
-def _selected(args, job) -> list[int]:
-    """0-based vertex indices into the job's graph, honoring --vertex."""
-    g = job["graph"]
-    if args.vertex is None:
-        return list(range(g.n))
-    ids = []
-    for token in args.vertex.split(","):
+def _vertex_ids(spec: str | None, n: int) -> list[int]:
+    """The 0-based vertices that --vertex names, first mention first; all n
+    when the option is absent."""
+    if spec is None:
+        return list(range(n))
+    picked = []
+    for token in spec.split(","):
         token = token.strip()
         try:
             vid = int(token)
         except ValueError:
             raise CliError(f"--vertex: {token!r} is not an integer id")
-        if job["component"] is None:
-            idx = _vertex_index(vid, g.n, "--vertex")
-        elif vid in job["ids"]:
-            idx = job["ids"].index(vid)
-        else:
-            continue  # vertex lives in another component
-        if idx not in ids:
-            ids.append(idx)
-    return ids
+        picked.append(_vertex_index(vid, n, "--vertex"))
+    return list(dict.fromkeys(picked))
 
 
-def _graph_header(job) -> dict:
-    g = job["graph"]
-    head = {"n": g.n, "m": g.m}
-    if job["component"] is not None:
-        head["component"] = job["component"]
-        head["vertices"] = job["ids"]
+def _graph_header(job: Job) -> dict:
+    head = {"n": job.graph.n, "m": job.graph.m}
+    if job.component is not None:
+        head["component"] = job.component
+        head["vertices"] = job.ids
     return head
 
 
 # ----------------------------------------------------------- command bodies
 
-def _run_energy(job, args, warnings) -> dict:
-    g = job["graph"]
-    routes = []
-    for name in (args.routes or "eigen").split(","):
-        name = name.strip()
+def _run_energy(job: Job, args, report: dict) -> int:
+    g = job.graph
+    routes = list(dict.fromkeys(name.strip() for name in (args.routes or "eigen").split(",")))
+    for name in routes:
         if name not in ROUTE_NAMES:
             raise CliError(f"--routes: unknown route {name!r}; "
                            f"expected a comma list from {','.join(ROUTE_NAMES)}")
-        if name not in routes:
-            routes.append(name)
 
     per_route: dict[str, list[float]] = {}
-    meta: dict[str, dict] = {}
+    meta = report["routes"]
     for name, route in (("eigen", ROUTE_EIGEN), ("abs", ROUTE_ABS)):
         if name in routes:
             vec = vertex_energies(g, route=route)
@@ -345,11 +323,11 @@ def _run_energy(job, args, warnings) -> dict:
                            "evaluations": sum(res.evaluations for res in quadratures),
                            "error_estimate": max(res.error_estimate for res in quadratures)}
         if not converged:
-            warnings.append("quadrature did not converge on every vertex")
+            report["warnings"].append("quadrature did not converge on every vertex")
 
     if len(routes) > 1:
-        deltas = {}
         base = routes[0]
+        deltas = meta["deltas"] = {}
         for other in routes[1:]:
             d = max(abs(a - b) for a, b in zip(per_route[base], per_route[other]))
             deltas[f"{base}/{other}"] = d
@@ -358,34 +336,26 @@ def _run_energy(job, args, warnings) -> dict:
             if "series" in (base, other):
                 threshold += meta["series"]["tail_bound"]
             if d > threshold:
-                warnings.append(
+                report["warnings"].append(
                     f"routes {base} and {other} disagree by {d:.3e} "
                     f"(threshold {threshold:g})"
                 )
-        meta["deltas"] = deltas
 
-    results = []
-    for idx in _selected(args, job):
-        entry = {"vertex": job["ids"][idx]}
-        for name in routes:
-            entry[name] = per_route[name][idx]
-        results.append(entry)
-    return {"graph": _graph_header(job), "command": "energy",
-            "results": results, "routes": meta, "warnings": warnings}
+    report["results"] = [{"vertex": job.ids[idx], **{r: per_route[r][idx] for r in routes}}
+                         for idx in job.selected]
+    return EXIT_OK
 
 
-def _run_bounds(job, args, warnings) -> dict:
-    g = job["graph"]
-    report: BoundsReport = bounds_report(g, equality_tol=args.tol)
-    if not report.holder_valid:
-        warnings.append("Holder-type lower bound violated somewhere; "
-                        "it is reported but not asserted")
-    results = []
-    for idx in _selected(args, job):
-        vb = report.vertices[idx]
-        results.append({
+def _run_bounds(job: Job, args, report: dict) -> int:
+    bounds = bounds_report(job.graph, equality_tol=args.tol)
+    if not bounds.holder_valid:
+        report["warnings"].append("Holder-type lower bound violated somewhere; "
+                                  "it is reported but not asserted")
+    for idx in job.selected:
+        vb = bounds.vertices[idx]
+        report["results"].append({
             "scope": "vertex",
-            "vertex": job["ids"][idx],
+            "vertex": job.ids[idx],
             "energy": vb.energy,
             "s": vb.s,
             "q": vb.q,
@@ -396,27 +366,30 @@ def _run_bounds(job, args, warnings) -> dict:
                 for b in vb.bounds
             ],
         })
-    results.append({
+    report["results"].append({
         "scope": "graph",
-        "energy_total": report.energy_total,
-        "randic_index_minus1": report.randic_index_minus1,
-        "lower": report.graph_lower,
-        "upper": report.graph_upper,
-        "holder_valid": report.holder_valid,
+        "energy_total": bounds.energy_total,
+        "randic_index_minus1": bounds.randic_index_minus1,
+        "lower": bounds.graph_lower,
+        "upper": bounds.graph_upper,
+        "holder_valid": bounds.holder_valid,
     })
-    return {"graph": _graph_header(job), "command": "bounds",
-            "results": results, "routes": {}, "warnings": warnings}
+    return EXIT_OK
 
 
-def _run_charpoly(job, args, warnings) -> dict:
-    g = job["graph"]
+def _run_charpoly(job: Job, args, report: dict) -> int:
+    g = job.graph
+    # named here by input id: randic_matrix would name them 0-based
+    isolated = [job.ids[v] for v, d in enumerate(g.degrees) if d == 0]
+    if isolated:
+        raise CliError(f"isolated vertices {isolated} have degree 0")
     numeric = char_poly_numeric(randic_matrix(g))
-    results = [{
+    results = report["results"]
+    results.append({
         "scope": "graph",
         "source": "trace-recurrence",
         "coefficients": list(numeric.coefficients),
-    }]
-    routes: dict = {}
+    })
     if g.n <= MAX_ENUMERATION_N:
         combinatorial = char_poly_combinatorial(g)
         results.append({
@@ -426,11 +399,11 @@ def _run_charpoly(job, args, warnings) -> dict:
         })
         delta = max(abs(a - b) for a, b in
                     zip(numeric.coefficients, combinatorial.coefficients))
-        routes["agreement"] = {"max_coefficient_delta": delta}
+        report["routes"]["agreement"] = {"max_coefficient_delta": delta}
         if delta > args.tol:
-            warnings.append(f"polynomial routes disagree by {delta:.3e}")
+            report["warnings"].append(f"polynomial routes disagree by {delta:.3e}")
     else:
-        warnings.append(
+        report["warnings"].append(
             f"n={g.n} exceeds the subgraph-enumeration cap "
             f"({MAX_ENUMERATION_N}); only the trace recurrence was run"
         )
@@ -440,29 +413,25 @@ def _run_charpoly(job, args, warnings) -> dict:
     except ValueError:
         pass  # spectrum not symmetric about zero; b_k undefined
     if args.vertex is not None:
-        for idx in _selected(args, job):
+        for idx in job.selected:
             sub = principal_submatrix_poly(g, idx)
             results.append({
                 "scope": "vertex",
-                "vertex": job["ids"][idx],
+                "vertex": job.ids[idx],
                 "source": "trace-recurrence",
                 "coefficients": list(sub.coefficients),
             })
-    return {"graph": _graph_header(job), "command": "charpoly",
-            "results": results, "routes": routes, "warnings": warnings}
+    return EXIT_OK
 
 
-def _run_coulson(job, args, warnings) -> dict:
-    g = job["graph"]
+def _run_coulson(job: Job, args, report: dict) -> int:
+    g = job.graph
     cfg = QuadratureConfig(tolerance=args.tol)
     reference = vertex_energies(g).energies
-    results = []
-    all_converged = True
-    for idx in _selected(args, job):
+    for idx in job.selected:
         res = coulson_vertex_energy(g, idx, cfg)
-        all_converged &= res.converged
-        results.append({
-            "vertex": job["ids"][idx],
+        report["results"].append({
+            "vertex": job.ids[idx],
             "value": res.value,
             "error_estimate": res.error_estimate,
             "converged": res.converged,
@@ -470,33 +439,27 @@ def _run_coulson(job, args, warnings) -> dict:
             "reference": reference[idx],
             "delta": res.value - reference[idx],
         })
-    if not all_converged:
-        warnings.append("quadrature did not converge on every requested vertex")
-    routes = {"quadrature": {"tolerance": cfg.tolerance,
-                             "nodes_per_panel": cfg.nodes_per_panel,
-                             "max_levels": cfg.max_levels},
-              "reference": "eigen"}
-    report = {"graph": _graph_header(job), "command": "coulson",
-              "results": results, "routes": routes, "warnings": warnings}
-    report["_exit"] = EXIT_OK if all_converged else EXIT_NUMERIC
-    return report
+    converged = all(entry["converged"] for entry in report["results"])
+    if not converged:
+        report["warnings"].append("quadrature did not converge on every requested vertex")
+    report["routes"] = {"quadrature": {"tolerance": cfg.tolerance,
+                                       "nodes_per_panel": cfg.nodes_per_panel,
+                                       "max_levels": cfg.max_levels},
+                        "reference": "eigen"}
+    return EXIT_OK if converged else EXIT_NUMERIC
 
 
-def _run_compare(job, args, warnings) -> dict:
-    g = job["graph"]
+def _run_compare(job: Job, args, report: dict) -> int:
+    g = job.graph
     if args.v is None or args.w is None:
         raise CliError("compare requires --v and --w vertex ids")
     v = _vertex_index(args.v, g.n, "--v")
     w = _vertex_index(args.w, g.n, "--w")
-    try:
-        check = vertex_order_check(g, v, w,
-                                   mode=MODE_SUBMATRIX, tol=args.tol,
-                                   strict=False)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    check = vertex_order_check(g, v, w, mode=MODE_SUBMATRIX, tol=args.tol,
+                               strict=False)
     if check.status == "violated":
-        warnings.append("ordering rule violated; see the result record")
-    results = [{
+        report["warnings"].append("ordering rule violated; see the result record")
+    report["results"].append({
         "v": args.v,
         "w": args.w,
         "mode": check.mode,
@@ -504,23 +467,22 @@ def _run_compare(job, args, warnings) -> dict:
         "energy_v": check.energy_v,
         "energy_w": check.energy_w,
         "status": check.status,
-    }]
-    return {"graph": _graph_header(job), "command": "compare",
-            "results": results, "routes": {}, "warnings": warnings}
+    })
+    return EXIT_OK
 
 
-def _run_family_info(job, args, warnings) -> dict:
+def _run_family_info(job: Job, args, report: dict) -> int:
     spec = _family_spec(args)
-    g = job["graph"]
+    g = job.graph
     computed = vertex_energies(g).energies
     classes = vertex_classes(spec)
-    results = []
+    results = report["results"]
     if classes:
         for cls, members in classes.items():
             closed = closed_form_energy(spec, cls)
             observed = computed[members[0]]
             if abs(closed.value - observed) > args.tol:
-                warnings.append(
+                report["warnings"].append(
                     f"class {cls.value}: closed form {closed.value:.12g} vs "
                     f"computed {observed:.12g}"
                 )
@@ -532,116 +494,151 @@ def _run_family_info(job, args, warnings) -> dict:
                 "computed": observed,
             })
     else:
-        warnings.append(f"no closed-form classes for {spec.kind.value}; "
-                        "reporting computed energies")
+        report["warnings"].append(f"no closed-form classes for {spec.kind.value}; "
+                                  "reporting computed energies")
         for i in range(g.n):
             results.append({"class": "vertex", "vertices": [i + 1],
                             "energy": computed[i], "closed_form": False,
                             "computed": computed[i]})
-    routes = {"label": spec.label(), "total_energy": graph_energy(g)}
-    return {"graph": _graph_header(job), "command": "family-info",
-            "results": results, "routes": routes, "warnings": warnings}
-
-
-_RUNNERS = {
-    "energy": _run_energy,
-    "bounds": _run_bounds,
-    "charpoly": _run_charpoly,
-    "coulson": _run_coulson,
-    "compare": _run_compare,
-    "family-info": _run_family_info,
-}
+    report["routes"] = {"label": spec.label(), "total_energy": graph_energy(g)}
+    return EXIT_OK
 
 
 # ----------------------------------------------------------- table rendering
 
-def _render_table(report: dict) -> str:
-    command = report["command"]
+def _graph_line(report: dict) -> str:
     g = report["graph"]
-    lines = []
     head = f"graph: n={g['n']} m={g['m']}"
     if "component" in g:
         head += f"  component={g['component']} vertices=" + \
             ",".join(str(v) for v in g["vertices"])
-    lines.append(head)
+    return head
 
-    if command == "energy":
-        routes = [k for k in report["results"][0] if k != "vertex"]
-        rows = [["vertex"] + routes]
-        for entry in report["results"]:
-            rows.append([str(entry["vertex"])] + [_f4(entry[r]) for r in routes])
-        totals = ["total"] + [_f4(report["routes"][r]["total"]) for r in routes]
-        rows.append(totals)
-        lines.append(_table(rows, ">" * (1 + len(routes))))
-        deltas = report["routes"].get("deltas")
-        if deltas:
-            pairs = "  ".join(f"{k}={_g4(v)}" for k, v in deltas.items())
-            lines.append(f"route deltas: {pairs}")
 
-    elif command == "bounds":
-        vertex_rows = [r for r in report["results"] if r["scope"] == "vertex"]
-        names = [b["name"] for b in vertex_rows[0]["bounds"]]
-        rows = [["vertex", "energy"] + names + ["equal"]]
-        for entry in vertex_rows:
-            flagged = ",".join(b["name"] for b in entry["bounds"] if b["equal"]) or "-"
-            rows.append([str(entry["vertex"]), _f4(entry["energy"])]
-                        + [_f4(b["value"]) for b in entry["bounds"]]
-                        + [flagged])
-        lines.append(_table(rows, ">" * (2 + len(names)) + "<"))
-        tail = next(r for r in report["results"] if r["scope"] == "graph")
-        lines.append(
-            f"graph: energy={_f4(tail['energy_total'])}"
-            f"  lower={_f4(tail['lower'])}  upper={_f4(tail['upper'])}"
-            f"  holder_valid={'yes' if tail['holder_valid'] else 'no'}"
-        )
-
-    elif command == "charpoly":
-        graph_rows = [r for r in report["results"] if r["scope"] == "graph"]
-        degree = len(graph_rows[0]["coefficients"]) - 1
-        rows = [["power"] + [r["source"] for r in graph_rows]]
-        for k in range(degree + 1):
-            rows.append([f"x^{degree - k}"]
-                        + [_g4(r["coefficients"][k]) for r in graph_rows])
-        lines.append(_table(rows, ">" * (1 + len(graph_rows))))
-        agreement = report["routes"].get("agreement")
-        if agreement:
-            lines.append(f"max coefficient delta = "
-                         f"{_g4(agreement['max_coefficient_delta'])}")
-        if "even_b" in graph_rows[0]:
-            lines.append("even b_k: " +
-                         ", ".join(_g4(b) for b in graph_rows[0]["even_b"]))
-        for entry in report["results"]:
-            if entry["scope"] == "vertex":
-                lines.append(f"vertex {entry['vertex']} principal submatrix: " +
-                             ", ".join(_g4(c) for c in entry["coefficients"]))
-
-    elif command == "coulson":
-        rows = [["vertex", "value", "reference", "delta", "err_est", "converged"]]
-        for e in report["results"]:
-            rows.append([str(e["vertex"]), _f4(e["value"]), _f4(e["reference"]),
-                         _g4(e["delta"]), _g4(e["error_estimate"]),
-                         "yes" if e["converged"] else "NO"])
-        lines.append(_table(rows, ">>>>><"))
-
-    elif command == "compare":
-        e = report["results"][0]
-        lines.append(
-            f"remove w={e['w']} vs remove v={e['v']}: coefficientwise "
-            f"{e['comparison']} -> {e['status']}"
-        )
-        lines.append(f"energy(v={e['v']})={_f4(e['energy_v'])}  "
-                     f"energy(w={e['w']})={_f4(e['energy_w'])}")
-
-    elif command == "family-info":
-        lines[-1] = f"{report['routes']['label']}: n={g['n']} m={g['m']}  " \
-                    f"total={_f4(report['routes']['total_energy'])}"
-        rows = [["class", "count", "energy", "closed_form", "computed"]]
-        for e in report["results"]:
-            rows.append([e["class"], str(len(e["vertices"])), _f4(e["energy"]),
-                         "yes" if e["closed_form"] else "no", _f4(e["computed"])])
-        lines.append(_table(rows, "<>><>"))
-
+def _render_energy(report: dict) -> str:
+    meta = report["routes"]
+    # the per-route entries come in a fixed order; the "base/other" delta
+    # keys keep the order the routes were asked in
+    pairs = [key.split("/") for key in meta.get("deltas", ())]
+    routes = [pairs[0][0]] + [other for _, other in pairs] if pairs else list(meta)
+    rows = [["vertex"] + routes]
+    for entry in report["results"]:
+        rows.append([str(entry["vertex"])] + [_f4(entry[r]) for r in routes])
+    rows.append(["total"] + [_f4(meta[r]["total"]) for r in routes])
+    lines = [_graph_line(report), _table(rows, ">" * (1 + len(routes)))]
+    if pairs:
+        deltas = "  ".join(f"{k}={_g4(v)}" for k, v in meta["deltas"].items())
+        lines.append(f"route deltas: {deltas}")
     return "\n".join(lines)
+
+
+def _render_bounds(report: dict) -> str:
+    names = [*UPPER_BOUNDS, *LOWER_BOUNDS]
+    *vertex_rows, tail = report["results"]  # the graph row comes last
+    rows = [["vertex", "energy"] + names + ["equal"]]
+    for entry in vertex_rows:
+        flagged = ",".join(b["name"] for b in entry["bounds"] if b["equal"]) or "-"
+        rows.append([str(entry["vertex"]), _f4(entry["energy"])]
+                    + [_f4(b["value"]) for b in entry["bounds"]]
+                    + [flagged])
+    return "\n".join([
+        _graph_line(report),
+        _table(rows, ">" * (2 + len(names)) + "<"),
+        f"graph: energy={_f4(tail['energy_total'])}"
+        f"  lower={_f4(tail['lower'])}  upper={_f4(tail['upper'])}"
+        f"  holder_valid={'yes' if tail['holder_valid'] else 'no'}",
+    ])
+
+
+def _render_charpoly(report: dict) -> str:
+    graph_rows = [r for r in report["results"] if r["scope"] == "graph"]
+    degree = len(graph_rows[0]["coefficients"]) - 1
+    rows = [["power"] + [r["source"] for r in graph_rows]]
+    for k in range(degree + 1):
+        rows.append([f"x^{degree - k}"]
+                    + [_g4(r["coefficients"][k]) for r in graph_rows])
+    lines = [_graph_line(report), _table(rows, ">" * (1 + len(graph_rows)))]
+    agreement = report["routes"].get("agreement")
+    if agreement:
+        lines.append(f"max coefficient delta = "
+                     f"{_g4(agreement['max_coefficient_delta'])}")
+    if "even_b" in graph_rows[0]:
+        lines.append("even b_k: " +
+                     ", ".join(_g4(b) for b in graph_rows[0]["even_b"]))
+    for entry in report["results"]:
+        if entry["scope"] == "vertex":
+            lines.append(f"vertex {entry['vertex']} principal submatrix: " +
+                         ", ".join(_g4(c) for c in entry["coefficients"]))
+    return "\n".join(lines)
+
+
+def _render_coulson(report: dict) -> str:
+    rows = [["vertex", "value", "reference", "delta", "err_est", "converged"]]
+    for e in report["results"]:
+        rows.append([str(e["vertex"]), _f4(e["value"]), _f4(e["reference"]),
+                     _g4(e["delta"]), _g4(e["error_estimate"]),
+                     "yes" if e["converged"] else "NO"])
+    return _graph_line(report) + "\n" + _table(rows, ">>>>><")
+
+
+def _render_compare(report: dict) -> str:
+    e = report["results"][0]
+    return "\n".join([
+        _graph_line(report),
+        f"remove w={e['w']} vs remove v={e['v']}: coefficientwise "
+        f"{e['comparison']} -> {e['status']}",
+        f"energy(v={e['v']})={_f4(e['energy_v'])}  "
+        f"energy(w={e['w']})={_f4(e['energy_w'])}",
+    ])
+
+
+def _render_family_info(report: dict) -> str:
+    g, routes = report["graph"], report["routes"]
+    rows = [["class", "count", "energy", "closed_form", "computed"]]
+    for e in report["results"]:
+        rows.append([e["class"], str(len(e["vertices"])), _f4(e["energy"]),
+                     "yes" if e["closed_form"] else "no", _f4(e["computed"])])
+    return (f"{routes['label']}: n={g['n']} m={g['m']}  "
+            f"total={_f4(routes['total_energy'])}\n" + _table(rows, "<>><>"))
+
+
+# ----------------------------------------------------------- the commands
+
+class Command(NamedTuple):
+    # fills the "results" and "routes" of the report main built for a job,
+    # appends to its "warnings", and returns the job's exit code
+    run: Callable[[Job, argparse.Namespace, dict], int]
+    render: Callable[[dict], str]  # the report as a table
+    tol: float            # default --tol; its meaning is the command's own
+    help: str
+    options: tuple = ()   # (flag, add_argument keywords) beyond the common ones
+
+
+COMMANDS = {
+    "energy": Command(
+        _run_energy, _render_energy, 1e-6,  # route agreement warning threshold
+        "per-vertex energies by one or more routes",
+        (("--routes", {"default": "eigen",
+                       "help": "comma list from eigen,abs,series,coulson"}),)),
+    "bounds": Command(
+        _run_bounds, _render_bounds, EQUALITY_TOL,
+        "all closed-form bounds with slack and equality flags"),
+    "charpoly": Command(
+        _run_charpoly, _render_charpoly, ODD_COEFF_TOL,
+        "characteristic polynomial of the normalized adjacency matrix, "
+        "by two independent routes"),
+    "coulson": Command(
+        _run_coulson, _render_coulson, 1e-7,  # quadrature target
+        "contour-integral energies with error estimates"),
+    "compare": Command(
+        _run_compare, _render_compare, 1e-9,
+        "quasi-order verdict for a vertex pair (bipartite graphs)",
+        (("--v", {"type": int, "help": "first vertex id (1-based)"}),
+         ("--w", {"type": int, "help": "second vertex id (1-based)"}))),
+    "family-info": Command(
+        _run_family_info, _render_family_info, 1e-8,  # closed form vs computed check
+        "closed-form energies per symmetry class of a family"),
+}
 
 
 # ----------------------------------------------------------- argument parser
@@ -676,24 +673,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="analyze each connected component of a "
                              "disconnected file separately")
 
-    energy = sub.add_parser("energy", parents=[common],
-                            help="per-vertex energies by one or more routes")
-    energy.add_argument("--routes", default="eigen",
-                        help="comma list from eigen,abs,series,coulson")
-    sub.add_parser("bounds", parents=[common],
-                   help="all closed-form bounds with slack and equality flags")
-    sub.add_parser("charpoly", parents=[common],
-                   help="characteristic polynomial of the normalized "
-                        "adjacency matrix, by two independent routes")
-    sub.add_parser("coulson", parents=[common],
-                   help="contour-integral energies with error estimates")
-    compare = sub.add_parser("compare", parents=[common],
-                             help="quasi-order verdict for a vertex pair "
-                                  "(bipartite graphs)")
-    compare.add_argument("--v", type=int, help="first vertex id (1-based)")
-    compare.add_argument("--w", type=int, help="second vertex id (1-based)")
-    sub.add_parser("family-info", parents=[common],
-                   help="closed-form energies per symmetry class of a family")
+    for name, command in COMMANDS.items():
+        cmd = sub.add_parser(name, parents=[common], help=command.help)
+        for flag, keywords in command.options:
+            cmd.add_argument(flag, **keywords)
     return parser
 
 
@@ -715,7 +698,7 @@ def _resolve_tol(args) -> None:
         except ValueError:
             raise CliError(f"RANDIC_TOL={env!r} is not a number")
     else:
-        args.tol = DEFAULT_TOL[args.command]
+        args.tol = COMMANDS[args.command].tol
         return
     # nan passes no comparison and inf passes every one, so neither is a tolerance
     if not (math.isfinite(args.tol) and args.tol > 0):
@@ -728,6 +711,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse already printed the diagnostic
         return int(exc.code or 0)
 
+    command = COMMANDS[args.command]
     try:
         _resolve_tol(args)
         if args.command == "family-info" and args.family is None:
@@ -735,27 +719,22 @@ def main(argv=None) -> int:
         if args.command == "compare" and args.per_component:
             raise CliError("compare needs a single connected graph")
         jobs, warnings = _load(args)
-        reports = []
+        out = []
         exit_code = EXIT_OK
         for job in jobs:
-            report = _RUNNERS[args.command](job, args, list(warnings))
-            exit_code = max(exit_code, report.pop("_exit", EXIT_OK))
-            reports.append(report)
-        out = []
-        for report in reports:
+            report = {"graph": _graph_header(job), "command": args.command,
+                      "results": [], "routes": {}, "warnings": list(warnings)}
+            exit_code = max(exit_code, command.run(job, args, report))
             if args.format == "json":
                 out.append(_json(report))
             else:
-                out.append(_render_table(report))
+                out.append(command.render(report))
                 for w in report["warnings"]:
                     print(f"warning: {w}", file=sys.stderr)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except (ConvergenceError, NonFiniteError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (GraphParseError, DisconnectedGraphError, ValueError) as exc:
+    except (CliError, ValueError) as exc:  # ValueError: the library's input checks
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     print("\n\n".join(out) if args.format == "table" else "\n".join(out))

@@ -188,6 +188,13 @@ def test_vertex_selector(capsys):
     assert [r["vertex"] for r in report["results"]] == [1, 5]
 
 
+def test_vertex_selector_keeps_first_mentions_in_order(capsys):
+    code, report, _ = run_json(capsys, "coulson", "--family", "path", "--n", "6",
+                               "--vertex", "5, 2,5,1,2")
+    assert code == 0
+    assert [r["vertex"] for r in report["results"]] == [5, 2, 1]
+
+
 def test_json_round_trips_bit_exactly(capsys, demo7_file):
     code, out, _ = run(capsys, "energy", "--file", demo7_file,
                        "--routes", "eigen,series", "--format", "json")
@@ -517,6 +524,92 @@ def test_per_component_runs_each_piece(capsys, tmp_path):
     assert [e["vertex"] for e in reports[1]["results"]] == [3, 4, 5]
 
 
+@pytest.fixture
+def path3_plus_edge(tmp_path):
+    path = tmp_path / "two.edges"
+    path.write_text("n 5\n1 2\n2 3\n4 5\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("command, last_lines", [
+    ("energy", ["vertex   eigen", " total  2.0000"]),
+    ("bounds", ["vertex  energy  unit  cauchy_schwarz  refined  series2  series3"
+                "  lower_r2  lower_holder  equal",
+                "graph: energy=2.0000  lower=2.0000  upper=2.0000  holder_valid=yes"]),
+])
+def test_per_component_table_without_selected_vertices(capsys, path3_plus_edge,
+                                                       command, last_lines):
+    # --vertex 1 picks nothing in the component {4, 5}
+    code, out, err = run(capsys, command, "--file", path3_plus_edge,
+                         "--per-component", "--vertex", "1")
+    assert code == 0 and err == ""
+    first, second = out.rstrip("\n").split("\n\n")
+    assert first.splitlines()[2].split()[0] == "1"
+    assert second.splitlines() == ["graph: n=2 m=1  component=1 vertices=4,5",
+                                   *last_lines]
+
+
+def test_energy_table_columns_keep_the_route_order_asked(capsys, path3_plus_edge):
+    code, out, _ = run(capsys, "energy", "--file", path3_plus_edge, "--per-component",
+                       "--vertex", "1", "--routes", "series,abs,series,eigen")
+    assert code == 0
+    for table in out.rstrip("\n").split("\n\n"):
+        lines = table.splitlines()
+        assert lines[1].split() == ["vertex", "series", "abs", "eigen"]
+        assert lines[-1].startswith("route deltas: series/abs=")
+
+
+@pytest.mark.parametrize("argv", [
+    ("energy", "--per-component"),
+    ("bounds", "--per-component"),
+    ("coulson", "--per-component"),
+    ("charpoly", "--per-component"),
+    ("charpoly",),
+])
+def test_vertex_range_checked_against_the_whole_file(capsys, path3_plus_edge, argv):
+    # the message a connected input gives without --per-component
+    code, out, err = run(capsys, *argv, "--file", path3_plus_edge, "--vertex", "2,9")
+    assert code == 2 and out == ""
+    assert err == "error: --vertex: id 9 out of range 1..5\n"
+
+
+@pytest.fixture
+def isolated7_file(tmp_path):
+    path = tmp_path / "iso.edges"
+    path.write_text("n 7\n1 2\n2 3\n1 3\n4 5\n5 6\n")  # vertex 7 is isolated
+    return str(path)
+
+
+def test_charpoly_names_isolated_vertices_by_input_id(capsys, isolated7_file):
+    code, out, err = run(capsys, "charpoly", "--file", isolated7_file)
+    assert code == 2 and out == ""
+    assert err == "error: isolated vertices [7] have degree 0\n"
+
+
+def test_charpoly_per_component_skips_single_vertices(capsys, isolated7_file):
+    code, out, _ = run(capsys, "charpoly", "--file", isolated7_file,
+                       "--per-component", "--format", "json")
+    assert code == 0
+    reports = [json.loads(line) for line in out.splitlines()]
+    assert [r["graph"]["vertices"] for r in reports] == [[1, 2, 3], [4, 5, 6]]
+    for report in reports:
+        assert report["warnings"] == ["component 2 is a single vertex (7); skipped"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("energy",), "vertex energy needs at least 2 vertices"),
+    (("coulson",), "vertex energy needs at least 2 vertices"),
+    (("charpoly",), "isolated vertices [1] have degree 0"),
+    (("charpoly", "--per-component"), "no component with at least 2 vertices"),
+])
+def test_single_vertex_file(capsys, tmp_path, argv, message):
+    path = tmp_path / "one.edges"
+    path.write_text("n 1\n")
+    code, out, err = run(capsys, *argv, "--file", str(path))
+    assert code == 2 and out == ""
+    assert err.strip().endswith(message)
+
+
 def test_bad_family_parameters(capsys):
     code, _, err = run(capsys, "energy", "--family", "cycle", "--n", "2")
     assert code == 2
@@ -538,7 +631,7 @@ def test_back_to_back_calls_share_no_state(capsys, monkeypatch):
     _, report, _ = run_json(capsys, "coulson", *star4, "--tol", "1e-3")
     assert report["routes"]["quadrature"]["tolerance"] == 1e-3
     _, report, _ = run_json(capsys, "coulson", *star4)
-    assert report["routes"]["quadrature"]["tolerance"] == cli.DEFAULT_TOL["coulson"]
+    assert report["routes"]["quadrature"]["tolerance"] == cli.COMMANDS["coulson"].tol
 
 
 def test_env_tolerance_must_be_numeric(capsys, monkeypatch):
