@@ -6,7 +6,8 @@ Table output rounds to 4 decimals; JSON carries full double precision
 (17 significant digits) and is deterministic byte-for-byte, so reports
 can be diffed across runs and machines.
 
-Exit codes: 0 success, 2 bad input or usage, 3 numerical failure.
+Exit codes: 0 success, 1 stdout closed before the reports were written,
+2 bad input or usage, 3 numerical failure.
 """
 from __future__ import annotations
 
@@ -57,6 +58,7 @@ from .graph import (
 from .spectral import ConvergenceError, randic_matrix, randic_spectrum
 
 EXIT_OK = 0
+EXIT_CLOSED_PIPE = 1  # stdout's reader closed it before all was written
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
@@ -292,7 +294,7 @@ def _graph_header(job: Job) -> dict:
 
 def _run_energy(job: Job, args, report: dict) -> int:
     g = job.graph
-    routes = list(dict.fromkeys(name.strip() for name in (args.routes or "eigen").split(",")))
+    routes = list(dict.fromkeys(name.strip() for name in args.routes.split(",")))
     for name in routes:
         if name not in ROUTE_NAMES:
             raise CliError(f"--routes: unknown route {name!r}; "
@@ -721,7 +723,7 @@ def main(argv=None) -> int:
         jobs, warnings = _load(args)
         out = []
         exit_code = EXIT_OK
-        for job in jobs:
+        for k, job in enumerate(jobs):
             report = {"graph": _graph_header(job), "command": args.command,
                       "results": [], "routes": {}, "warnings": list(warnings)}
             exit_code = max(exit_code, command.run(job, args, report))
@@ -729,7 +731,8 @@ def main(argv=None) -> int:
                 out.append(_json(report))
             else:
                 out.append(command.render(report))
-                for w in report["warnings"]:
+                # the input's warnings head every report; print them once
+                for w in report["warnings"][len(warnings) if k else 0:]:
                     print(f"warning: {w}", file=sys.stderr)
     except (ConvergenceError, NonFiniteError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
@@ -737,8 +740,26 @@ def main(argv=None) -> int:
     except (CliError, ValueError) as exc:  # ValueError: the library's input checks
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    print("\n\n".join(out) if args.format == "table" else "\n".join(out))
+    try:
+        print("\n\n".join(out) if args.format == "table" else "\n".join(out))
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left, as `| head` does
+        _drop_stdout()
+        return EXIT_CLOSED_PIPE
     return exit_code
+
+
+def _drop_stdout() -> None:
+    """Point stdout's descriptor at the null device, so that the flush at
+    interpreter exit cannot raise ``BrokenPipeError`` again (the Python
+    docs' note on SIGPIPE)."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # not backed by a descriptor
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 if __name__ == "__main__":

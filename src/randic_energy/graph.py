@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import re
 from collections import deque
 from dataclasses import dataclass
 
@@ -50,8 +51,15 @@ def _checked_pairs(n: int, pairs) -> np.ndarray:
     return np.array(pairs, dtype=np.int64).reshape(-1, 2).T
 
 
-def _adjacency_entries(n: int, edges) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
-    """The graph's edge structure from an iterable of (u, v) pairs, by one sort.
+def _check_vertex_count(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"vertex count must be >= 1, got {n}")
+    if n > MAX_VERTICES:
+        raise ValueError(f"vertex count {n} exceeds {MAX_VERTICES}")
+
+
+def _adjacency_core(n: int, a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+    """The graph's edge structure from a (2, m) int64 array of pairs, by one sort.
 
     Each pair gives both orientations, as keys ``u * n + v`` and ``v * n + u``;
     sorted with repeats dropped, they are the row-major positions of the
@@ -59,14 +67,38 @@ def _adjacency_entries(n: int, edges) -> tuple[np.ndarray, np.ndarray, np.ndarra
     the mask of ``src < dst`` (one entry per edge, in edge order), and the
     input positions, ascending, of the pairs that repeat an earlier one.
 
+    Raises ``ValueError`` for a vertex count outside 1..MAX_VERTICES, an id
+    outside 0..n-1 or a self-loop.
+    """
+    _check_vertex_count(n)
+    keys = np.ravel_multi_index((a, a[::-1]), (n, n))
+    flat = keys.flatten()
+    flat.sort()
+    src, dst = np.unravel_index(flat, (n, n))
+    repeats: list[int] = []
+    later = flat[1:] == flat[:-1]
+    if np.count_nonzero(later):  # a self-loop's two keys are equal too
+        loops = np.flatnonzero(a[0] == a[1])
+        if loops.size:
+            raise ValueError(f"self-loop at vertex {a[0, loops[0]]}")
+        # with each pair's two keys side by side, a stable sort keeps input
+        # order within each run of equal keys: the first entry of the run
+        # of (lo, hi), lo < hi, is the earliest pair that gives the edge
+        order = np.argsort(keys.ravel(order="F"), kind="stable")
+        later = np.concatenate(([False], later))
+        repeats = np.sort(order[later & (src < dst)] // 2).tolist()
+        src, dst = src[~later], dst[~later]
+    return src, dst, src < dst, repeats
+
+
+def _adjacency_entries(n: int, edges) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+    """``_adjacency_core`` on an iterable of (u, v) pairs.
+
     Raises ``TypeError`` for an id that is not an integer and ``ValueError``
     for a self-loop or an id outside 0..n-1, naming the first such pair in
     input order.
     """
-    if n < 1:
-        raise ValueError(f"vertex count must be >= 1, got {n}")
-    if n > MAX_VERTICES:
-        raise ValueError(f"vertex count {n} exceeds {MAX_VERTICES}")
+    _check_vertex_count(n)
     pairs = edges if isinstance(edges, (list, tuple)) else list(edges)
     try:
         # one column per pair; strict, so that every pair has two items
@@ -76,26 +108,10 @@ def _adjacency_entries(n: int, edges) -> tuple[np.ndarray, np.ndarray, np.ndarra
     if a is None or a.dtype != np.int64 or a.shape != (2, len(pairs)):
         a = _checked_pairs(n, pairs)
     try:
-        keys = np.ravel_multi_index((a, a[::-1]), (n, n))
-    except ValueError:  # an id outside 0..n-1: name the first bad pair
+        return _adjacency_core(n, a)
+    except ValueError:  # an id outside 0..n-1 or a loop: name the first bad pair
         _checked_pairs(n, pairs)
         raise
-    flat = keys.flatten()
-    flat.sort()
-    src, dst = np.unravel_index(flat, (n, n))
-    repeats: list[int] = []
-    later = flat[1:] == flat[:-1]
-    if np.count_nonzero(later):  # a self-loop's two keys are equal too
-        if np.count_nonzero(a[0] == a[1]):
-            _checked_pairs(n, pairs)  # raises at the first loop
-        # with each pair's two keys side by side, a stable sort keeps input
-        # order within each run of equal keys: the first entry of the run
-        # of (lo, hi), lo < hi, is the earliest pair that gives the edge
-        order = np.argsort(keys.ravel(order="F"), kind="stable")
-        later = np.concatenate(([False], later))
-        repeats = np.sort(order[later & (src < dst)] // 2).tolist()
-        src, dst = src[~later], dst[~later]
-    return src, dst, src < dst, repeats
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -192,7 +208,65 @@ def parse_edge_list_report(text: str) -> tuple[Graph, list[str]]:
     too), then one ``<u> <v>`` pair per line with 1-based ids. ``#`` starts
     a comment; blank lines are skipped. Duplicate edges are collapsed and
     counted as warnings.
+
+    A text in ``_BULK_GRAMMAR`` whose ids pass their checks and repeat no
+    edge is read in one pass over arrays; every other text, and every error
+    and warning, comes from the per-line reader, with the same result.
     """
+    graph = _parse_bulk(text)
+    if graph is not None:
+        return graph, []
+    return _parse_lines(text)
+
+
+_ID = r"[0-9]{1,18}"  # ASCII decimal that fits an int64
+# to the line's end, which is no character that str.splitlines breaks a
+# line at, so that a comment never hides a line from the per-line reader
+_COMMENT = r"(?:#[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*|)"
+_BLANK = rf"[ \t]*{_COMMENT}"
+#: Edge-list texts read in bulk: blank and comment lines, then optionally a
+#: header ``n <count>`` or ``<count>`` as the first content line, then pair
+#: lines; spaces and tabs only, LF or CRLF line ends. A line fits one branch
+#: at most, so a failed match backtracks over each character a bounded
+#: number of times and the check stays linear in the text's length.
+_BULK_GRAMMAR = re.compile(
+    rf"(?:{_BLANK}\r?\n)*"
+    rf"(?:[ \t]*(?:(?:n[ \t]+)?({_ID})|{_ID}[ \t]+{_ID})[ \t]*{_COMMENT}"  # header or pair
+    rf"(?:\r?\n[ \t]*(?:{_ID}[ \t]+{_ID}[ \t]*|){_COMMENT})*"  # then pairs and blanks
+    rf"|{_BLANK})"
+)
+_COMMENTS = re.compile(r"#[^\n]*")
+
+
+def _parse_bulk(text: str) -> Graph | None:
+    """The graph of a text in ``_BULK_GRAMMAR`` whose ids are valid and give
+    no edge twice, or ``None``, leaving the text to the per-line reader."""
+    match = _BULK_GRAMMAR.fullmatch(text)
+    if match is None:
+        return None
+    header = match.group(1)
+    body = text if header is None else text[match.end(1):]
+    if "#" in body:
+        body = _COMMENTS.sub("", body)
+    # the grammar leaves fromstring nothing but ids and whitespace to read;
+    # its text mode reads a string of whitespace alone as [0]
+    ids = (np.empty(0, dtype=np.int64) if body.isspace()
+           else np.fromstring(body, dtype=np.int64, sep=" "))
+    n = int(ids.max(initial=0)) if header is None else int(header)
+    if not 1 <= n <= MAX_VERTICES or ids.size and not 1 <= ids.min() <= ids.max() <= n:
+        return None
+    pairs = ids.reshape(-1, 2).T - 1
+    if np.count_nonzero(pairs[0] == pairs[1]):
+        return None
+    src, dst, upper, repeats = _adjacency_core(n, pairs)
+    if repeats:  # the per-line reader names each repeat's line
+        return None
+    return Graph._from_entries(n, src, dst, upper)
+
+
+def _parse_lines(text: str) -> tuple[Graph, list[str]]:
+    """``parse_edge_list_report`` one line at a time, naming the first bad
+    line and each repeated edge's line."""
     declared_n: int | None = None
     pairs: list[tuple[int, int]] = []
     linenos: list[int] = []
@@ -282,11 +356,20 @@ def connected_components(g: Graph) -> list[list[int]]:
 def induced_subgraph(g: Graph, vertices) -> Graph:
     """Subgraph induced on the given vertices, relabeled 0..k-1 in sorted order."""
     keep = sorted(set(vertices))
-    index = {v: i for i, v in enumerate(keep)}
-    edges = [
-        (index[u], index[v]) for u, v in g.edges if u in index and v in index
-    ]
-    return Graph.from_edges(len(keep), edges)
+    for v in keep[:1] + keep[-1:]:
+        check_vertex(g.n, v)
+    new = np.full(g.n, -1, dtype=np.int64)
+    new[keep] = np.arange(len(keep))
+    return _relabelled(g, new, len(keep))
+
+
+def _relabelled(g: Graph, new: np.ndarray, k: int) -> Graph:
+    """The graph on k vertices of g's edges whose ends u, v both have
+    ``new[u], new[v] >= 0``, renamed ``(new[u], new[v])``."""
+    lo, hi = g._edge_arrays
+    a = np.stack((new[lo], new[hi]))
+    a = a[:, (a >= 0).all(axis=0)]
+    return Graph._from_entries(k, *_adjacency_core(k, a)[:3])
 
 
 def bipartition(g: Graph) -> Bipartition | None:
@@ -312,13 +395,17 @@ def bipartition(g: Graph) -> Bipartition | None:
 def delete_vertex(g: Graph, v: int) -> Graph:
     """Remove v and its edges; remaining ids compact down preserving order."""
     check_vertex(g.n, v)
-    return induced_subgraph(g, [u for u in range(g.n) if u != v])
+    new = np.arange(g.n)
+    new[v + 1:] -= 1
+    new[v] = -1
+    return _relabelled(g, new, g.n - 1)
 
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     """Vertex-disjoint union; g2's ids are shifted up by g1.n."""
-    edges = list(g1.edges) + [(u + g1.n, v + g1.n) for u, v in g2.edges]
-    return Graph.from_edges(g1.n + g2.n, edges)
+    a = np.hstack((np.stack(g1._edge_arrays), np.stack(g2._edge_arrays) + g1.n))
+    n = g1.n + g2.n
+    return Graph._from_entries(n, *_adjacency_core(n, a)[:3])
 
 
 # Structural classifiers used by the bound equality-case detectors.

@@ -5,6 +5,7 @@ argument parsing, report building, and both output formats without
 spawning subprocesses.
 """
 import dataclasses
+import io
 import json
 import math
 import pathlib
@@ -594,6 +595,56 @@ def test_charpoly_per_component_skips_single_vertices(capsys, isolated7_file):
     assert [r["graph"]["vertices"] for r in reports] == [[1, 2, 3], [4, 5, 6]]
     for report in reports:
         assert report["warnings"] == ["component 2 is a single vertex (7); skipped"]
+
+
+def test_per_component_table_prints_each_warning_once(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "two.edges"
+    path.write_text("n 7\n1 2\n2 3\n1 3\n4 5\n5 6\n4 6\n2 1\n")  # 7 is isolated
+    energy = cli.COMMANDS["energy"]
+
+    def run_and_warn(job, args, report):
+        code = energy.run(job, args, report)
+        report["warnings"].append(f"own warning of component {job.component}")
+        return code
+
+    monkeypatch.setitem(cli.COMMANDS, "energy", energy._replace(run=run_and_warn))
+    code, out, err = run(capsys, "energy", "--file", str(path), "--per-component")
+    assert code == 0 and out.count("graph: ") == 2
+    assert err.splitlines() == [
+        "warning: line 8: duplicate edge 2 1 ignored",
+        "warning: component 2 is a single vertex (7); skipped",
+        "warning: own warning of component 0",
+        "warning: own warning of component 1",
+    ]
+    # JSON keeps the input's warnings in every report
+    code, out, err = run(capsys, "energy", "--file", str(path), "--per-component",
+                         "--format", "json")
+    assert code == 0 and err == ""
+    reports = [json.loads(line) for line in out.splitlines()]
+    assert [r["warnings"] for r in reports] == [
+        ["line 8: duplicate edge 2 1 ignored", "component 2 is a single vertex (7); skipped",
+         f"own warning of component {k}"] for k in (0, 1)]
+
+
+@pytest.mark.parametrize("routes", ["", ","])
+def test_no_route_is_refused_in_either_spelling(capsys, routes):
+    code, out, err = run(capsys, "energy", "--family", "star", "--n", "4", "--routes", routes)
+    assert code == 2 and out == ""
+    assert err == ("error: --routes: unknown route ''; "
+                   "expected a comma list from eigen,abs,series,coulson\n")
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone away."""
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_closed_stdout_exits_1_without_a_traceback(capsys, monkeypatch, fmt):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(["energy", "--family", "star", "--n", "4", "--format", fmt]) == 1
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("argv, message", [

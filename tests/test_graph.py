@@ -1,4 +1,5 @@
 import re
+import time
 
 import numpy as np
 import pytest
@@ -28,7 +29,9 @@ from randic_energy.graph import (
     parse_edge_list_report,
     serialize_edge_list,
     star_center,
+    _BULK_GRAMMAR,
     _adjacency_entries,
+    _parse_bulk,
 )
 from randic_energy.families import FamilyKind, FamilySpec, generate
 from randic_energy.random_graphs import (
@@ -37,7 +40,13 @@ from randic_energy.random_graphs import (
     random_suite,
 )
 from randic_energy.spectral import power_diag, randic_matrix
-from helpers import relabel
+from helpers import (
+    delete_vertex_per_edge,
+    disjoint_union_per_edge,
+    induced_subgraph_per_edge,
+    parse_edge_list_per_line,
+    relabel,
+)
 import random
 
 
@@ -320,6 +329,118 @@ def test_parse_rejects_ids_past_the_largest_vertex_count():
         parse_edge_list(f"n 3\n1 {10**30}\n")
 
 
+def _outcome(parse, text):
+    """What ``parse`` gives on ``text``: its result, or its exception's type
+    and message."""
+    try:
+        return parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# ids that int() reads but the bulk grammar does not, or that fail a check
+ODD_IDS = ["0", "007", "+3", "-2", "\u0663", "1_0", "3.0", "x", "n",
+           str(10**30), "9" * 18, "1" + "0" * 18, str(MAX_VERTICES + 1)]
+# separators, line ends and comments outside the bulk grammar; each of
+# "\f", "\v", "\x85" and "\u2028" also ends a line for str.splitlines
+ODD_GAPS = ["\f", "\v", "\xa0", "\u2028"]
+ODD_ENDS = ["\r", "\f", "\x85", "\u2028", "\n\f"]
+ODD_COMMENTS = ["#\f1 1", "# \u2028 2 2", "#\r7 7", "#\x0b3 3"]
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge-list texts of three kinds: in the bulk grammar with valid ids
+    ("plain"); in the grammar with ids that fail a check or repeat an edge
+    ("checks"); and a plain or checks text with one odd id, separator,
+    line end, comment or line length put in ("odd")."""
+    kind = draw(st.sampled_from(["plain", "checks", "odd"]))
+    plain = kind == "plain" or kind == "odd" and draw(st.booleans())
+    ids = st.integers(1, 30).map(str) if plain else st.integers(0, 8).map(str)
+    count = st.integers(30, 40).map(str) if plain else ids
+    gap = st.sampled_from([" ", "\t", "  ", " \t"])
+    pad = st.sampled_from(["", "", " ", "\t"])
+    comment = st.sampled_from(["", "", "", "# c", "#1 2", " # 3 4 5"])
+    pair = st.lists(ids, min_size=2, max_size=2, unique=plain)
+
+    def line(tokens, gap=gap):
+        return draw(pad) + "".join(t + draw(gap) for t in tokens[:-1]) + tokens[-1] + draw(pad) + draw(comment)
+
+    lines = [draw(pad) + draw(comment) for _ in range(draw(st.integers(0, 2)))]
+    header = draw(st.sampled_from([None, "n", ""]))
+    if header is not None:
+        lines.append(line([header, draw(count)] if header else [draw(count)]))
+    for _ in range(draw(st.integers(0, 12))):
+        lines.append(draw(pad) + draw(comment) if draw(st.integers(0, 6)) == 0 else line(draw(pair)))
+    ends = [draw(st.sampled_from(["\n", "\n", "\r\n"])) for _ in lines]
+    if kind == "odd" and lines:
+        i = draw(st.integers(0, len(lines) - 1))
+        oddity = draw(st.sampled_from(["id", "gap", "end", "comment", "length"]))
+        if oddity == "id":
+            lines[i] = line(draw(st.permutations([draw(ids), draw(st.sampled_from(ODD_IDS))])))
+        elif oddity == "gap":
+            lines[i] = line(draw(pair), st.sampled_from(ODD_GAPS))
+        elif oddity == "end":
+            ends[i] = draw(st.sampled_from(ODD_ENDS))
+        elif oddity == "comment":
+            lines[i] += draw(st.sampled_from(ODD_COMMENTS))
+        else:
+            lines[i] = line([draw(ids) for _ in range(draw(st.sampled_from([1, 3])))])
+    text = "".join(ln + end for ln, end in zip(lines, ends))
+    return text[:-1] if text.endswith("\n") and draw(st.booleans()) else text
+
+
+@settings(max_examples=600, deadline=None)
+@given(edge_list_texts())
+def test_parse_is_the_per_line_reference(text):
+    assert _outcome(parse_edge_list_report, text) == _outcome(parse_edge_list_per_line, text)
+
+
+@pytest.mark.parametrize("text", [
+    "n 4\n1 2\n2 3\n3 4\n",
+    "4\r\n1 2\r\n# c\r\n\r\n2\t3 # x\r\n3 4",
+    "# head\n\n\t n  5 # count\n 1 2 \n\n 005 4#\n",
+    "1 2\n2 3",
+    "n 3\n",
+    "  7  \n# 7 vertices, no edges",
+])
+def test_grammar_texts_parse_in_bulk(text):
+    g = _parse_bulk(text)
+    assert g is not None
+    assert (g, []) == parse_edge_list_per_line(text)
+
+
+@pytest.mark.parametrize("text", [
+    "n 3\n1 2\n2 1\n",          # a repeat: its line is named
+    "n 3\n1 2\n1 1\n",          # a self-loop
+    "n 3\n0 1\n",
+    "n 3\n1 4\n",
+    "n 0\n",
+    "", "# only a comment\n",
+    "n 3\n1 2 3\n", "n 3\n2\n",
+    "1 \u0663\n", "+1 2\n", "1 2\f2 3\n", "1 2\r2 3\n", "1 2 # \x0b3 4\n", "1 2 #\f3 4\n",
+    f"1 {10**30}\n", f"{MAX_VERTICES + 1}\n", "N 3\n",
+])
+def test_other_texts_leave_the_bulk_path(text):
+    assert _parse_bulk(text) is None
+
+
+def test_bulk_grammar_stays_linear_on_long_texts():
+    pairs = "".join(f"{i} {i + 1}\n" for i in range(1, 100_000))
+    texts = [
+        f"n 100000\n{pairs}",
+        f"n 100000\n{pairs}1 2 3\n",               # fails on the last line
+        "\n" * 100_000 + "x",                       # blank lines, then no content
+        "1 2\n" + " \t# c\n" * 100_000 + "#\f",
+        "1 2\n" + "\t1\t2\t\n" * 100_000 + "3",
+    ]
+    for text in texts:
+        start = time.perf_counter()
+        _BULK_GRAMMAR.fullmatch(text)
+        assert time.perf_counter() - start < 1.0, text[:20]
+    assert parse_edge_list_report(texts[0]) == parse_edge_list_per_line(texts[0])
+
+
 def test_serialize_is_canonical():
     g1 = parse_edge_list("n 3\n2 3\n1 2\n")
     g2 = parse_edge_list("n 3\n1 2\n2 3\n")
@@ -374,6 +495,45 @@ def test_every_vertex_range_check_says_the_same():
         for i in (-1, 5, 9):
             with pytest.raises(ValueError, match=f"^vertex {i} out of range for n=5$"):
                 entry_point(i)
+
+
+def _seeded_graphs_with_isolated_vertices():
+    rng = random.Random(9001)
+    graphs = [Graph.from_edges(1, []), path(2), Graph.from_edges(3, [])]
+    for n in (2, 3, 5, 8, 13, 30, 60):
+        for p in (0.05, 0.2, 0.6):
+            graphs.append(Graph.from_edges(
+                n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]))
+    return rng, graphs
+
+
+def test_vertex_surgery_is_the_per_edge_reference():
+    rng, graphs = _seeded_graphs_with_isolated_vertices()
+    assert sum(0 in g.degrees for g in graphs) >= 10
+    for g in graphs:
+        for v in range(g.n) if g.n > 1 else ():  # at n = 2, one vertex remains
+            h = delete_vertex(g, v)
+            assert h == delete_vertex_per_edge(g, v)
+            assert [a.tolist() for a in h._edge_arrays] == [[e[0] for e in h.edges],
+                                                          [e[1] for e in h.edges]]
+        for size in {1, g.n // 2 or 1, g.n}:
+            keep = rng.sample(range(g.n), size)
+            assert induced_subgraph(g, keep) == induced_subgraph_per_edge(g, keep)
+        other = rng.choice(graphs)
+        assert disjoint_union(g, other) == disjoint_union_per_edge(g, other)
+
+
+def test_vertex_surgery_leaving_no_vertex_is_refused():
+    for f in (lambda: delete_vertex(Graph.from_edges(1, []), 0),
+              lambda: induced_subgraph(path(3), [])):
+        with pytest.raises(ValueError, match="^vertex count must be >= 1, got 0$"):
+            f()
+
+
+@pytest.mark.parametrize("keep, bad", [([0, 5], 5), ([-1, 2], -1)])
+def test_induced_subgraph_range_checks_its_vertices(keep, bad):
+    with pytest.raises(ValueError, match=f"^vertex {bad} out of range for n=5$"):
+        induced_subgraph(path(5), keep)
 
 
 def test_disjoint_union_shifts():
