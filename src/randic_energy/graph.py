@@ -220,8 +220,9 @@ def parse_edge_list_report(text: str) -> tuple[Graph, list[str]]:
 
 
 _ID = r"[0-9]{1,18}"  # ASCII decimal that fits an int64
-# to the line's end, which is no character that str.splitlines breaks a
-# line at, so that a comment never hides a line from the per-line reader
+# a comment runs to the line's end and holds no character at which
+# str.splitlines breaks a line, so it never hides a line from the
+# per-line reader
 _COMMENT = r"(?:#[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*|)"
 _BLANK = rf"[ \t]*{_COMMENT}"
 #: Edge-list texts read in bulk: blank and comment lines, then optionally a
