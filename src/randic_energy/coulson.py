@@ -29,7 +29,9 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,12 +58,19 @@ class QuadratureConfig:
     max_levels: int = 12
 
     def __post_init__(self):
+        for name in ("nodes_per_panel", "max_levels"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.nodes_per_panel < 8:
             raise ValueError("need at least 8 nodes per panel")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
             raise ValueError("tolerance must be positive and finite")
         if self.max_levels < 1:
             raise ValueError("need at least one refinement level")
+
+
+_DEFAULT_CONFIG = QuadratureConfig()
 
 
 @dataclass(frozen=True)
@@ -77,22 +86,27 @@ def lanczos_coefficients(r: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]
     Lanczos on the symmetric ``r`` from e_i, fully reorthogonalised; ``len(a)``
     is the dimension of the Krylov space and ``len(b2) == len(a) - 1``."""
     n = r.shape[0]
+    check_vertex(n, i)
     basis = np.zeros((n, n))  # row j is Lanczos vector j + 1
     basis[0, i] = 1.0
+    w = r[i].copy()  # R e_i, as R is symmetric
     a: list[float] = []
     b2: list[float] = []
     for k in range(n):
-        w = r @ basis[k]
+        if k:
+            np.matmul(r, basis[k], out=w)
         a.append(float(basis[k] @ w))
+        if k + 1 == n:
+            break
         done = basis[:k + 1]
         # classical Gram-Schmidt twice keeps the basis orthogonal to rounding
         w -= (done @ w) @ done
         w -= (done @ w) @ done
         norm2 = float(w @ w)
-        if k + 1 == n or norm2 <= BREAKDOWN_TOL * BREAKDOWN_TOL:
+        if norm2 <= BREAKDOWN_TOL * BREAKDOWN_TOL:
             break
         b2.append(norm2)
-        basis[k + 1] = w / math.sqrt(norm2)
+        np.divide(w, math.sqrt(norm2), out=basis[k + 1])
     return np.array(a), np.array(b2)
 
 
@@ -100,24 +114,34 @@ def _on_real_line(body, at_zero=None):
     """body elementwise on arrays of any shape, at_zero() at x = 0 if given."""
     def f(x):
         x = np.asarray(x, dtype=float)
-        zero = x == 0.0
-        if at_zero is None or not zero.any():
+        if at_zero is None or x.all():
             out = body(x)
         else:
+            nonzero = x != 0.0
             out = np.full(x.shape, at_zero())
-            out[~zero] = body(x[~zero])
+            out[nonzero] = body(x[nonzero])
         return float(out) if out.ndim == 0 else out
     return f
 
 
 def _resolvent_integrand(a: np.ndarray, b2: np.ndarray):
+    # the coefficients as the complex scalars (c, 0) that numpy would promote
+    # them to: the same arithmetic, without a conversion in every ufunc call
+    shifts = a[:0:-1].astype(complex)
+    scales = b2[::-1].astype(complex)
+    head = complex(-a[0])
+    subtract, divide = np.subtract, np.divide
+
     def body(x):
         z = 1j * x
+        d = np.empty_like(z)
         tail = np.zeros_like(z)  # b_(j-1)^2 / d_j, from the bottom up
-        for a_j, b2_j in zip(a[:0:-1], b2[::-1]):
-            tail = b2_j / (z - a_j - tail)
-        numerator = -a[0] - tail  # d_1 - z
-        return (numerator / (z + numerator)).real
+        for a_j, b2_j in zip(shifts, scales):
+            subtract(z, a_j, d)
+            subtract(d, tail, d)
+            divide(b2_j, d, tail)
+        numerator = subtract(head, tail, tail)  # d_1 - z
+        return divide(numerator, np.add(z, numerator, d), d).real
 
     def origin():
         jacobi = np.diag(a) + np.diag(np.sqrt(b2), 1) + np.diag(np.sqrt(b2), -1)
@@ -159,18 +183,51 @@ def coulson_integrand(g: Graph, i: int, *, mode: str = MODE_SUBMATRIX):
 
 # ------------------------------------------------------------- quadrature
 
-@functools.lru_cache(maxsize=8)
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return nodes, weights
+#: the level-0 panels in t, [0, pi/4] and [pi/4, pi/2]: left and right ends
+_LEVEL0 = (np.array([0.0, math.pi / 4]), np.array([math.pi / 4, math.pi / 2]))
+_EPS = float(np.finfo(float).eps)
 
 
-def _panel_sums(f, lo: np.ndarray, width: np.ndarray, nodes, weights) -> np.ndarray:
-    """Gauss-Legendre sums of f over the panels [lo_k, lo_k + width_k], one call of f."""
+def _panel_points(lo: np.ndarray, width: np.ndarray, nodes: np.ndarray):
+    """Half widths of the panels [lo_k, lo_k + width_k] in t, and x = tan(t)
+    sin^2(t) and dx/dt at their Gauss-Legendre nodes, one row per panel.
+
+    x ~ t^3 near 0 and x ~ tan(t) near pi/2. An eigenvalue theta near 0 puts
+    a peak of width |theta| at x = 0, |theta|^(1/3) wide in t; under x = tan(t)
+    peaks 1e-3 wide were under-resolved alike at both levels of the estimate."""
     half = 0.5 * width
-    return half * (f(lo[:, None] + half[:, None] * (nodes + 1.0)) @ weights)
+    t = lo[:, None] + half[:, None] * (nodes + 1.0)
+    s2 = np.sin(t) ** 2
+    return half, np.tan(t) * s2, s2 * (3.0 - 2.0 * s2) / np.cos(t) ** 2
+
+
+def _panel_sums(f, half: np.ndarray, x: np.ndarray, dxdt: np.ndarray,
+                weights: np.ndarray) -> np.ndarray:
+    """Gauss-Legendre sums of f dx over the panels of ``_panel_points``, one call of f."""
+    return half * ((f(x) * dxdt) @ weights)
+
+
+class _Rule(NamedTuple):
+    """The Gauss-Legendre rule, and ``_panel_points`` of level 0: the two
+    panels (rows 0-1), their left halves (rows 2-3) and right halves (4-5)."""
+    nodes: np.ndarray
+    weights: np.ndarray
+    half: np.ndarray
+    x: np.ndarray
+    dxdt: np.ndarray
+
+
+@functools.lru_cache(maxsize=8)
+def _rule(nodes_per_panel: int) -> _Rule:
+    """The read-only ``_Rule`` of a panel size, computed once."""
+    nodes, weights = np.polynomial.legendre.leggauss(nodes_per_panel)
+    a, b = _LEVEL0
+    half = 0.5 * (b - a)
+    rule = _Rule(nodes, weights, *_panel_points(
+        np.concatenate([a, a, a + half]), np.concatenate([b - a, half, half]), nodes))
+    for array in rule:
+        array.flags.writeable = False
+    return rule
 
 
 def integrate_line(f, cfg: QuadratureConfig) -> CoulsonResult:
@@ -181,51 +238,46 @@ def integrate_line(f, cfg: QuadratureConfig) -> CoulsonResult:
     each, and each half of an open panel gets half its tolerance. Refinement
     is breadth first: ``f`` is called once per level, on an array of x of
     shape (panel sums, nodes), and at most ``cfg.max_levels + 1`` times."""
-    nodes, weights = _gauss_legendre(cfg.nodes_per_panel)
-    rounding = cfg.nodes_per_panel * np.finfo(float).eps
-
-    # x ~ t^3 near 0 and x ~ tan(t) near pi/2. An eigenvalue theta near 0 puts
-    # a peak of width |theta| at x = 0, |theta|^(1/3) wide in t; under x = tan(t)
-    # peaks 1e-3 wide were under-resolved alike at both levels of the estimate
-    def transformed(t: np.ndarray) -> np.ndarray:
-        s2 = np.sin(t) ** 2
-        return f(np.tan(t) * s2) * (s2 * (3.0 - 2.0 * s2) / np.cos(t) ** 2)
-
-    a = np.array([0.0, math.pi / 4])
-    b = np.array([math.pi / 4, math.pi / 2])
+    nodes, weights, *level0 = _rule(cfg.nodes_per_panel)
+    rounding = cfg.nodes_per_panel * _EPS
+    # the two panels' whole and half sums come from the same call
+    sums = _panel_sums(f, *level0, weights)
+    whole, left, right = sums.reshape(3, -1)
+    evals = sums.size * nodes.size
+    a, b = _LEVEL0
     total = 0.0
     err = 0.0
     ok = True
-    evals = 0
     for level in range(cfg.max_levels + 1):
         tol = cfg.tolerance / 4.0 * 0.5 ** level  # the same for every open panel
-        half = 0.5 * (b - a)
-        lo, width = np.concatenate([a, a + half]), np.concatenate([half, half])
-        if level == 0:  # the two panels' whole sums come from the same call
-            lo, width = np.concatenate([a, lo]), np.concatenate([b - a, width])
-        sums = _panel_sums(transformed, lo, width, nodes, weights).reshape(-1, a.size)
-        evals += sums.size * len(nodes)
-        if level == 0:
-            whole = sums[0]
-        left, right = sums[-2:]
+        pair = left + right
         # two sums can agree bit for bit while both carry rounding error: the
         # estimate never reads below the rounding of the finer sum, and a
         # panel whose difference is down at that floor is refined no further
-        diff = ERROR_SAFETY * np.abs(left + right - whole)
+        diff = ERROR_SAFETY * np.abs(pair - whole)
         floor = rounding * (np.abs(left) + np.abs(right))
         e = np.maximum(diff, floor)
-        final = (e <= tol) | (diff <= floor) | (level == cfg.max_levels)
-        total += float(np.sum(left[final] + right[final]))
-        err += float(np.sum(e[final]))
-        ok = ok and bool(np.all(e[final] <= tol))
-        split = ~final
-        if not split.any():
+        met = e <= tol
+        final = met | (diff <= floor)
+        if level == cfg.max_levels or final.all():
+            total += float(pair.sum())
+            err += float(e.sum())
+            ok = ok and bool(met.all())
             break
+        total += float(pair[final].sum())
+        err += float(e[final].sum())
+        ok = ok and bool(met[final].all())
         # each open panel becomes its two halves, whose whole sums are known
-        mid = a[split] + half[split]
-        a = np.column_stack([a[split], mid]).ravel()
-        b = np.column_stack([mid, b[split]]).ravel()
+        split = ~final
+        a, b = a[split], b[split]
+        mid = a + 0.5 * (b - a)
+        a, b = np.column_stack([a, mid]).ravel(), np.column_stack([mid, b]).ravel()
         whole = np.column_stack([left[split], right[split]]).ravel()
+        half = 0.5 * (b - a)
+        sums = _panel_sums(f, *_panel_points(np.concatenate([a, a + half]),
+                                             np.concatenate([half, half]), nodes), weights)
+        left, right = sums.reshape(2, -1)
+        evals += sums.size * nodes.size
     return CoulsonResult(value=2.0 * total, error_estimate=2.0 * err, converged=ok,
                          evaluations=evals)
 
@@ -235,13 +287,7 @@ def coulson_vertex_energy(g: Graph, i: int, cfg: QuadratureConfig | None = None,
     """Vertex energy by numerical integration; check ``converged`` and
     ``error_estimate`` on the result rather than trusting blindly."""
     _check_graph(g)
-    if cfg is None:
-        cfg = QuadratureConfig()
-    f = coulson_integrand(g, i, mode=mode)
-    raw = integrate_line(f, cfg)
-    return CoulsonResult(
-        value=raw.value / math.pi,
-        error_estimate=raw.error_estimate / math.pi,
-        converged=raw.converged,
-        evaluations=raw.evaluations,
-    )
+    raw = integrate_line(coulson_integrand(g, i, mode=mode),
+                         _DEFAULT_CONFIG if cfg is None else cfg)
+    return CoulsonResult(raw.value / math.pi, raw.error_estimate / math.pi,
+                         raw.converged, raw.evaluations)

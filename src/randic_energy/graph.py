@@ -278,10 +278,9 @@ def _parse_lines(text: str) -> tuple[Graph, list[str]]:
         if not line:
             continue
         tokens = line.split()
-        if first_content_line and (
-            tokens[0] == "n" and len(tokens) == 2 or len(tokens) == 1
-        ):
-            count_token = tokens[1] if tokens[0] == "n" else tokens[0]
+        header = tokens[0] == "n" and len(tokens) == 2
+        if first_content_line and (header or len(tokens) == 1):
+            count_token = tokens[1] if header else tokens[0]
             try:
                 declared_n = int(count_token)
             except ValueError:

@@ -5,7 +5,9 @@ import math
 import numpy as np
 
 from randic_energy.cli import NonFiniteError
+from randic_energy.coulson import BREAKDOWN_TOL, ERROR_SAFETY, CoulsonResult, QuadratureConfig
 from randic_energy.graph import MAX_VERTICES, Graph, GraphParseError, check_vertex
+from randic_energy.spectral import ZERO_EIGENVALUE_TOL, randic_matrix
 
 
 def relabel(g: Graph, permutation) -> Graph:
@@ -91,10 +93,9 @@ def parse_edge_list_per_line(text: str) -> tuple[Graph, list[str]]:
         if not line:
             continue
         tokens = line.split()
-        if first_content_line and (
-            tokens[0] == "n" and len(tokens) == 2 or len(tokens) == 1
-        ):
-            count_token = tokens[1] if tokens[0] == "n" else tokens[0]
+        header = tokens[0] == "n" and len(tokens) == 2
+        if first_content_line and (header or len(tokens) == 1):
+            count_token = tokens[1] if header else tokens[0]
             try:
                 declared_n = int(count_token)
             except ValueError:
@@ -152,3 +153,104 @@ def delete_vertex_per_edge(g: Graph, v: int) -> Graph:
 def disjoint_union_per_edge(g1: Graph, g2: Graph) -> Graph:
     edges = list(g1.edges) + [(u + g1.n, v + g1.n) for u, v in g2.edges]
     return Graph.from_edges(g1.n + g2.n, edges)
+
+
+# ------------------------------------------------- Coulson route, unoptimised
+
+def lanczos_coefficients_stepwise(r: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lanczos from e_i with CGS2, started by ``R @ e_i``, with a new array
+    for every vector and the last step's two passes and norm computed too."""
+    n = r.shape[0]
+    basis = np.zeros((n, n))
+    basis[0, i] = 1.0
+    a, b2 = [], []
+    for k in range(n):
+        w = r @ basis[k]
+        a.append(float(basis[k] @ w))
+        done = basis[:k + 1]
+        w -= (done @ w) @ done
+        w -= (done @ w) @ done
+        norm2 = float(w @ w)
+        if k + 1 == n or norm2 <= BREAKDOWN_TOL * BREAKDOWN_TOL:
+            break
+        b2.append(norm2)
+        basis[k + 1] = w / math.sqrt(norm2)
+    return np.array(a), np.array(b2)
+
+
+def resolvent_integrand_stepwise(a: np.ndarray, b2: np.ndarray):
+    """The continued-fraction integrand with new temporaries at every step,
+    and its limit at x = 0 from the Jacobi matrix's eigenvectors."""
+    def body(x):
+        z = 1j * x
+        tail = np.zeros_like(z)
+        for a_j, b2_j in zip(a[:0:-1], b2[::-1]):
+            tail = b2_j / (z - a_j - tail)
+        numerator = -a[0] - tail
+        return (numerator / (z + numerator)).real
+
+    def f(x):
+        x = np.asarray(x, dtype=float)
+        zero = x == 0.0
+        if not zero.any():
+            out = body(x)
+        else:
+            jacobi = np.diag(a) + np.diag(np.sqrt(b2), 1) + np.diag(np.sqrt(b2), -1)
+            theta, u = np.linalg.eigh(jacobi)
+            zero_weight = float(np.sum(u[0, np.abs(theta) <= ZERO_EIGENVALUE_TOL] ** 2))
+            out = np.full(x.shape, 1.0 - zero_weight)
+            out[~zero] = body(x[~zero])
+        return float(out) if out.ndim == 0 else out
+    return f
+
+
+def integrate_line_stepwise(f, cfg: QuadratureConfig) -> CoulsonResult:
+    """The breadth-first quadrature with every level's panel geometry,
+    level 0 included, computed in the call."""
+    nodes, weights = np.polynomial.legendre.leggauss(cfg.nodes_per_panel)
+    rounding = cfg.nodes_per_panel * np.finfo(float).eps
+
+    def panel_sums(lo, width):
+        half = 0.5 * width
+        t = lo[:, None] + half[:, None] * (nodes + 1.0)
+        s2 = np.sin(t) ** 2
+        return half * ((f(np.tan(t) * s2) * (s2 * (3.0 - 2.0 * s2) / np.cos(t) ** 2)) @ weights)
+
+    a = np.array([0.0, math.pi / 4])
+    b = np.array([math.pi / 4, math.pi / 2])
+    total, err, ok, evals = 0.0, 0.0, True, 0
+    for level in range(cfg.max_levels + 1):
+        tol = cfg.tolerance / 4.0 * 0.5 ** level
+        half = 0.5 * (b - a)
+        lo, width = np.concatenate([a, a + half]), np.concatenate([half, half])
+        if level == 0:
+            lo, width = np.concatenate([a, lo]), np.concatenate([b - a, width])
+        sums = panel_sums(lo, width).reshape(-1, a.size)
+        evals += sums.size * len(nodes)
+        if level == 0:
+            whole = sums[0]
+        left, right = sums[-2:]
+        diff = ERROR_SAFETY * np.abs(left + right - whole)
+        floor = rounding * (np.abs(left) + np.abs(right))
+        e = np.maximum(diff, floor)
+        final = (e <= tol) | (diff <= floor) | (level == cfg.max_levels)
+        total += float(np.sum(left[final] + right[final]))
+        err += float(np.sum(e[final]))
+        ok = ok and bool(np.all(e[final] <= tol))
+        split = ~final
+        if not split.any():
+            break
+        mid = a[split] + half[split]
+        a = np.column_stack([a[split], mid]).ravel()
+        b = np.column_stack([mid, b[split]]).ravel()
+        whole = np.column_stack([left[split], right[split]]).ravel()
+    return CoulsonResult(value=2.0 * total, error_estimate=2.0 * err, converged=ok,
+                         evaluations=evals)
+
+
+def coulson_vertex_energy_stepwise(g: Graph, i: int, cfg: QuadratureConfig) -> CoulsonResult:
+    """``coulson_vertex_energy`` (submatrix mode) from the three functions above."""
+    f = resolvent_integrand_stepwise(*lanczos_coefficients_stepwise(randic_matrix(g), i))
+    raw = integrate_line_stepwise(f, cfg)
+    return CoulsonResult(value=raw.value / math.pi, error_estimate=raw.error_estimate / math.pi,
+                         converged=raw.converged, evaluations=raw.evaluations)

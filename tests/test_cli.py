@@ -451,6 +451,15 @@ def test_cli_vertex_range_checks_speak_one_based(capsys, argv, message):
     assert err.strip().endswith(message)
 
 
+@pytest.mark.parametrize("text, count", [("n\n1 2\n", "n"), ("n x\n1 2\n", "x")])
+def test_header_without_a_count_exits_2(capsys, tmp_path, text, count):
+    path = tmp_path / "bad.edges"
+    path.write_text(text)
+    code, out, err = run(capsys, "energy", "--file", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: {path}: line 1: bad vertex count '{count}'\n"
+
+
 def test_compare_requires_vertex_pair(capsys, p4_file):
     code, _, err = run(capsys, "compare", "--file", p4_file)
     assert code == 2

@@ -6,9 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import (
+    coulson_vertex_energy_stepwise,
+    integrate_line_stepwise,
+    lanczos_coefficients_stepwise,
+    resolvent_integrand_stepwise,
+)
 from randic_energy.charpoly import MODE_DELETED_GRAPH
 from randic_energy.coulson import (
     QuadratureConfig,
+    _rule,
     coulson_integrand,
     coulson_vertex_energy,
     integrate_line,
@@ -49,6 +56,19 @@ def test_config_validation():
             QuadratureConfig(tolerance=tolerance)
     with pytest.raises(ValueError):
         QuadratureConfig(max_levels=0)
+
+
+@pytest.mark.parametrize("field", ["nodes_per_panel", "max_levels"])
+@pytest.mark.parametrize("value", [2.5, 32.0, True, "32", None])
+def test_config_rejects_non_integer_counts(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        QuadratureConfig(**{field: value})
+
+
+def test_config_accepts_numpy_integers():
+    cfg = QuadratureConfig(nodes_per_panel=np.int64(8), max_levels=np.int32(3))
+    res = integrate_line(lambda x: 1.0 / (1.0 + x * x), cfg)
+    assert res.value == pytest.approx(math.pi, abs=1e-6)
 
 
 def counting(f, calls):
@@ -195,6 +215,115 @@ def test_lanczos_stops_early_on_star():
     assert len(lanczos_coefficients(k50, 0)[0]) == 2
     # the Krylov space of an end of a path is the whole space
     assert len(lanczos_coefficients(randic_matrix(path(9)), 0)[0]) == 9
+
+
+def test_lanczos_checks_the_start_vertex():
+    r = randic_matrix(path(4))
+    for i in (-1, 4):
+        with pytest.raises(ValueError, match=f"vertex {i} out of range for n=4"):
+            lanczos_coefficients(r, i)
+
+
+# ------------------------------------------------------ bit for bit, unchanged
+
+def complete(n):
+    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
+def random_bipartite(rng, n1, n2, p):
+    """A connected bipartite graph: each vertex joined to the first vertex
+    of the other side, plus each other cross pair with probability p."""
+    edges = {(u, n1) for u in range(n1)} | {(0, n1 + v) for v in range(n2)}
+    edges |= {(u, n1 + v) for u in range(n1) for v in range(n2) if rng.random() < p}
+    return Graph.from_edges(n1 + n2, sorted(edges))
+
+
+BIT_GRAPHS = {
+    **{f"G({n}, 0.4)": random_connected_graph(random.Random(1000 + n), n, 0.4)
+       for n in (2, 10, 20, 50, 100)},
+    "bipartite(7, 9)": random_bipartite(random.Random(16), 7, 9, 0.3),
+    "bipartite(20, 30)": random_bipartite(random.Random(50), 20, 30, 0.1),
+    "K(3, 5)": complete_bipartite(3, 5),
+    "path(24)": path(24),        # bipartite, one zero eigenvalue
+    "cycle(24)": cycle(24),      # bipartite
+    "star(24)": star(24),        # Lanczos stops after 2 or 3 steps
+    "K(30)": complete(30),       # Lanczos stops after 2 steps
+}
+# at 1e-12 the 32-node panels refine on the larger graphs and stop at the
+# rounding floor on the rest; the 8-node configurations refine on every graph
+BIT_CONFIGS = {
+    "default": QuadratureConfig(),
+    "tol 1e-12": QuadratureConfig(tolerance=1e-12),
+    "8 nodes": QuadratureConfig(nodes_per_panel=8),
+    "8 nodes, 1 level": QuadratureConfig(nodes_per_panel=8, tolerance=1e-12, max_levels=1),
+    "8 nodes, 3 levels": QuadratureConfig(nodes_per_panel=8, tolerance=1e-12, max_levels=3),
+}
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("label", BIT_GRAPHS)
+def test_lanczos_bit_for_bit_as_stepwise(label):
+    g = BIT_GRAPHS[label]
+    r = randic_matrix(g)
+    for i in range(g.n):
+        a, b2 = lanczos_coefficients(r, i)
+        ref_a, ref_b2 = lanczos_coefficients_stepwise(r, i)
+        assert hexes(a) == hexes(ref_a) and hexes(b2) == hexes(ref_b2), (label, i)
+
+
+@pytest.mark.parametrize("config", BIT_CONFIGS)
+@pytest.mark.parametrize("label", BIT_GRAPHS)
+def test_vertex_energy_bit_for_bit_as_stepwise(label, config):
+    g, cfg = BIT_GRAPHS[label], BIT_CONFIGS[config]
+    # every vertex at the default config, a spread of them at the others
+    vertices = range(g.n) if config == "default" else sorted({0, 1, g.n // 2, g.n - 1})
+    levels = set()
+    for i in vertices:
+        res = coulson_vertex_energy(g, i, cfg)
+        ref = coulson_vertex_energy_stepwise(g, i, cfg)
+        assert (res.value.hex(), res.error_estimate.hex()) == \
+            (ref.value.hex(), ref.error_estimate.hex()), (label, config, i)
+        assert (res.evaluations, res.converged) == (ref.evaluations, ref.converged)
+        levels.add(res.evaluations > 6 * cfg.nodes_per_panel)
+    if config.startswith("8 nodes"):
+        assert True in levels, "the configuration should refine past level 0"
+
+
+def test_integrand_bit_for_bit_as_stepwise_off_the_quadrature_nodes():
+    # x = 0 takes the origin limit, negative x the other half line, and a
+    # 0-d input gives a float
+    xs = np.array([[0.0, -0.0, 1e-300, -2.5], [3.0, 1e15, -1e15, 0.7]])
+    for g, i in ((BIT_GRAPHS["path(24)"], 5), (BIT_GRAPHS["G(20, 0.4)"], 3),
+                 (BIT_GRAPHS["star(24)"], 0)):
+        a, b2 = lanczos_coefficients(randic_matrix(g), i)
+        f, ref = coulson_integrand(g, i), resolvent_integrand_stepwise(a, b2)
+        assert hexes(f(xs).ravel()) == hexes(ref(xs).ravel())
+        for x in (0.0, -1.5, 2.0):
+            assert isinstance(f(x), float) and f(x).hex() == ref(x).hex()
+
+
+def test_level0_rule_is_cached_read_only():
+    rule = _rule(32)
+    assert _rule(32) is rule
+    for array in rule:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[..., 0] = 1.0
+    assert rule.x.shape == rule.dxdt.shape == (6, 32) and rule.half.shape == (6,)
+
+
+def test_two_panel_sizes_in_one_process():
+    f = lambda x: 1.0 / (1.0 + 1e4 * x * x)  # noqa: E731
+    for nodes_per_panel in (8, 32, 8, 16, 32):
+        cfg = QuadratureConfig(nodes_per_panel=nodes_per_panel, tolerance=1e-10)
+        res, ref = integrate_line(f, cfg), integrate_line_stepwise(f, cfg)
+        assert res.value.hex() == ref.value.hex()
+        assert res.error_estimate.hex() == ref.error_estimate.hex()
+        assert (res.evaluations, res.converged) == (ref.evaluations, ref.converged)
+        assert _rule(nodes_per_panel).x.shape == (6, nodes_per_panel)
 
 
 # ------------------------------------------------------------------- energy

@@ -276,6 +276,15 @@ def test_parse_rejects_garbage_line():
         parse_edge_list("n 3\none two\n")
 
 
+@pytest.mark.parametrize("text, count", [("n\n1 2\n", "n"), ("n x\n1 2\n", "x"),
+                                         ("  n  # no count\n1 2\n", "n")])
+def test_parse_rejects_a_header_without_a_count(text, count):
+    # a lone "n" is a one-token first line, read as the count itself
+    for parse in (parse_edge_list_report, parse_edge_list_per_line):
+        with pytest.raises(GraphParseError, match=f"^line 1: bad vertex count '{count}'$"):
+            parse(text)
+
+
 def test_parse_rejects_empty():
     with pytest.raises(GraphParseError):
         parse_edge_list("# nothing\n")
@@ -419,7 +428,7 @@ def test_grammar_texts_parse_in_bulk(text):
     "", "# only a comment\n",
     "n 3\n1 2 3\n", "n 3\n2\n",
     "1 \u0663\n", "+1 2\n", "1 2\f2 3\n", "1 2\r2 3\n", "1 2 # \x0b3 4\n", "1 2 #\f3 4\n",
-    f"1 {10**30}\n", f"{MAX_VERTICES + 1}\n", "N 3\n",
+    f"1 {10**30}\n", f"{MAX_VERTICES + 1}\n", "N 3\n", "n\n1 2\n",
 ])
 def test_other_texts_leave_the_bulk_path(text):
     assert _parse_bulk(text) is None
