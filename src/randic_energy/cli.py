@@ -30,7 +30,7 @@ from .charpoly import (
     principal_submatrix_poly,
     vertex_order_check,
 )
-from .coulson import QuadratureConfig, coulson_vertex_energy
+from .coulson import DEFAULT_TOL, MAX_LEVELS, NODES_PER_PANEL, coulson_vertex_energy
 from .energy import (
     ROUTE_ABS,
     ROUTE_EIGEN,
@@ -316,12 +316,11 @@ def _run_energy(job: Job, args, report: dict) -> int:
                           "tail_bound": ser.tail_bound}
     if "coulson" in routes:
         # --tol here is the route agreement threshold, not a quadrature target
-        cfg = QuadratureConfig()
-        quadratures = [coulson_vertex_energy(g, i, cfg) for i in range(g.n)]
+        quadratures = [coulson_vertex_energy(g, i) for i in range(g.n)]
         converged = all(res.converged for res in quadratures)
         per_route["coulson"] = [res.value for res in quadratures]
         meta["coulson"] = {"total": ordered_sum(per_route["coulson"]),
-                           "converged": converged, "tolerance": cfg.tolerance,
+                           "converged": converged, "tolerance": DEFAULT_TOL,
                            "evaluations": sum(res.evaluations for res in quadratures),
                            "error_estimate": max(res.error_estimate for res in quadratures)}
         if not converged:
@@ -428,10 +427,9 @@ def _run_charpoly(job: Job, args, report: dict) -> int:
 
 def _run_coulson(job: Job, args, report: dict) -> int:
     g = job.graph
-    cfg = QuadratureConfig(tolerance=args.tol)
     reference = vertex_energies(g).energies
     for idx in job.selected:
-        res = coulson_vertex_energy(g, idx, cfg)
+        res = coulson_vertex_energy(g, idx, tol=args.tol)
         report["results"].append({
             "vertex": job.ids[idx],
             "value": res.value,
@@ -444,9 +442,9 @@ def _run_coulson(job: Job, args, report: dict) -> int:
     converged = all(entry["converged"] for entry in report["results"])
     if not converged:
         report["warnings"].append("quadrature did not converge on every requested vertex")
-    report["routes"] = {"quadrature": {"tolerance": cfg.tolerance,
-                                       "nodes_per_panel": cfg.nodes_per_panel,
-                                       "max_levels": cfg.max_levels},
+    report["routes"] = {"quadrature": {"tolerance": args.tol,
+                                       "nodes_per_panel": NODES_PER_PANEL,
+                                       "max_levels": MAX_LEVELS},
                         "reference": "eigen"}
     return EXIT_OK if converged else EXIT_NUMERIC
 

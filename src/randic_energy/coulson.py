@@ -14,7 +14,8 @@ Krylov space is invariant (k <= n), and
 The integrand is Re[(d_1 - z)/d_1], with d_1 - z = -a_1 - b_1^2/d_2 formed
 directly so that nothing cancels at large |x|. For x != 0 each d_j has an
 imaginary part of x's sign and at least |x| in modulus; x = 0 gets its
-limit, one minus the weight the vertex puts on the zero eigenvalue.
+limit, one minus the weight the vertex puts on the zero eigenvalue, and
+x = +-inf gets 0, the limit of both integrands.
 
 Rebuilding R on the literal vertex-deleted graph (degrees recomputed) does
 NOT satisfy the identity; that comparison mode takes det(zI - R')/det(zI - R)
@@ -24,14 +25,13 @@ R and R' are real, so both integrands are even in x. ``integrate_line``
 relies on that: it integrates over the half line and doubles, and it calls
 the integrand once per refinement level, on every node of every panel still
 open, so the continued fraction runs its k steps over one batch per level.
+The rule is fixed, 32 Gauss-Legendre nodes per panel and at most 12 levels
+of halving, so the tolerance is the route's only setting.
 """
 from __future__ import annotations
 
-import functools
 import math
-import numbers
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -50,27 +50,8 @@ BREAKDOWN_TOL = 1e-12
 #: plain difference can understate the error of the finer one
 ERROR_SAFETY = 10.0
 
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    nodes_per_panel: int = 32
-    tolerance: float = 1e-7
-    max_levels: int = 12
-
-    def __post_init__(self):
-        for name in ("nodes_per_panel", "max_levels"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.nodes_per_panel < 8:
-            raise ValueError("need at least 8 nodes per panel")
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
-            raise ValueError("tolerance must be positive and finite")
-        if self.max_levels < 1:
-            raise ValueError("need at least one refinement level")
-
-
-_DEFAULT_CONFIG = QuadratureConfig()
+#: the quadrature tolerance of ``coulson_vertex_energy`` unless one is given
+DEFAULT_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -111,15 +92,25 @@ def lanczos_coefficients(r: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]
 
 
 def _on_real_line(body, at_zero=None):
-    """body elementwise on arrays of any shape, at_zero() at x = 0 if given."""
+    """body elementwise on arrays of any shape, at_zero() at x = 0 if given,
+    and 0 at x = +-inf, where body would give nan."""
     def f(x):
         x = np.asarray(x, dtype=float)
-        if at_zero is None or x.all():
+        infinite = np.isinf(x)
+        # the quadrature's nodes are finite and nonzero; count_nonzero tests
+        # that in less time than x.all() took for the zeros alone
+        if not np.count_nonzero(infinite) and (
+                at_zero is None or np.count_nonzero(x) == x.size):
             out = body(x)
         else:
-            nonzero = x != 0.0
-            out = np.full(x.shape, at_zero())
-            out[nonzero] = body(x[nonzero])
+            out = np.zeros(x.shape)
+            inner = ~infinite
+            if at_zero is not None:
+                zero = x == 0.0
+                if zero.any():
+                    out[zero] = at_zero()
+                    inner &= ~zero
+            out[inner] = body(x[inner])
         return float(out) if out.ndim == 0 else out
     return f
 
@@ -183,12 +174,18 @@ def coulson_integrand(g: Graph, i: int, *, mode: str = MODE_SUBMATRIX):
 
 # ------------------------------------------------------------- quadrature
 
+#: every panel gets this Gauss-Legendre rule, and is halved at most
+#: MAX_LEVELS times
+NODES_PER_PANEL = 32
+MAX_LEVELS = 12
+
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(NODES_PER_PANEL)
+_ROUNDING = NODES_PER_PANEL * float(np.finfo(float).eps)
 #: the level-0 panels in t, [0, pi/4] and [pi/4, pi/2]: left and right ends
 _LEVEL0 = (np.array([0.0, math.pi / 4]), np.array([math.pi / 4, math.pi / 2]))
-_EPS = float(np.finfo(float).eps)
 
 
-def _panel_points(lo: np.ndarray, width: np.ndarray, nodes: np.ndarray):
+def _panel_points(lo: np.ndarray, width: np.ndarray):
     """Half widths of the panels [lo_k, lo_k + width_k] in t, and x = tan(t)
     sin^2(t) and dx/dt at their Gauss-Legendre nodes, one row per panel.
 
@@ -196,70 +193,60 @@ def _panel_points(lo: np.ndarray, width: np.ndarray, nodes: np.ndarray):
     a peak of width |theta| at x = 0, |theta|^(1/3) wide in t; under x = tan(t)
     peaks 1e-3 wide were under-resolved alike at both levels of the estimate."""
     half = 0.5 * width
-    t = lo[:, None] + half[:, None] * (nodes + 1.0)
+    t = lo[:, None] + half[:, None] * (_NODES + 1.0)
     s2 = np.sin(t) ** 2
     return half, np.tan(t) * s2, s2 * (3.0 - 2.0 * s2) / np.cos(t) ** 2
 
 
-def _panel_sums(f, half: np.ndarray, x: np.ndarray, dxdt: np.ndarray,
-                weights: np.ndarray) -> np.ndarray:
+def _panel_sums(f, half: np.ndarray, x: np.ndarray, dxdt: np.ndarray) -> np.ndarray:
     """Gauss-Legendre sums of f dx over the panels of ``_panel_points``, one call of f."""
-    return half * ((f(x) * dxdt) @ weights)
+    return half * ((f(x) * dxdt) @ _WEIGHTS)
 
 
-class _Rule(NamedTuple):
-    """The Gauss-Legendre rule, and ``_panel_points`` of level 0: the two
-    panels (rows 0-1), their left halves (rows 2-3) and right halves (4-5)."""
-    nodes: np.ndarray
-    weights: np.ndarray
-    half: np.ndarray
-    x: np.ndarray
-    dxdt: np.ndarray
-
-
-@functools.lru_cache(maxsize=8)
-def _rule(nodes_per_panel: int) -> _Rule:
-    """The read-only ``_Rule`` of a panel size, computed once."""
-    nodes, weights = np.polynomial.legendre.leggauss(nodes_per_panel)
+def _level0_points():
+    """``_panel_points`` of level 0: the two panels (rows 0-1), their left
+    halves (rows 2-3) and right halves (4-5)."""
     a, b = _LEVEL0
     half = 0.5 * (b - a)
-    rule = _Rule(nodes, weights, *_panel_points(
-        np.concatenate([a, a, a + half]), np.concatenate([b - a, half, half]), nodes))
-    for array in rule:
-        array.flags.writeable = False
-    return rule
+    return _panel_points(np.concatenate([a, a, a + half]), np.concatenate([b - a, half, half]))
 
 
-def integrate_line(f, cfg: QuadratureConfig) -> CoulsonResult:
+_LEVEL0_POINTS = _level0_points()
+for _array in (_NODES, _WEIGHTS, *_LEVEL0, *_LEVEL0_POINTS):
+    _array.flags.writeable = False
+del _array
+
+
+def integrate_line(f, tol: float) -> CoulsonResult:
     """Adaptive composite Gauss-Legendre of an even f over R via x = tan(t) sin^2(t).
 
     ``f`` must be even: the result is twice the integral over t in [0, pi/2],
-    taken on two panels of width pi/4 with tolerance ``cfg.tolerance / 4``
-    each, and each half of an open panel gets half its tolerance. Refinement
-    is breadth first: ``f`` is called once per level, on an array of x of
-    shape (panel sums, nodes), and at most ``cfg.max_levels + 1`` times."""
-    nodes, weights, *level0 = _rule(cfg.nodes_per_panel)
-    rounding = cfg.nodes_per_panel * _EPS
+    taken on two panels of width pi/4 with tolerance ``tol / 4`` each, and
+    each half of an open panel gets half its tolerance. Refinement is
+    breadth first: ``f`` is called once per level, on an array of x of shape
+    (panel sums, NODES_PER_PANEL), and at most ``MAX_LEVELS + 1`` times."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError("tolerance must be positive and finite")
     # the two panels' whole and half sums come from the same call
-    sums = _panel_sums(f, *level0, weights)
+    sums = _panel_sums(f, *_LEVEL0_POINTS)
     whole, left, right = sums.reshape(3, -1)
-    evals = sums.size * nodes.size
+    evals = sums.size * NODES_PER_PANEL
     a, b = _LEVEL0
     total = 0.0
     err = 0.0
     ok = True
-    for level in range(cfg.max_levels + 1):
-        tol = cfg.tolerance / 4.0 * 0.5 ** level  # the same for every open panel
+    for level in range(MAX_LEVELS + 1):
+        level_tol = tol / 4.0 * 0.5 ** level  # the same for every open panel
         pair = left + right
         # two sums can agree bit for bit while both carry rounding error: the
         # estimate never reads below the rounding of the finer sum, and a
         # panel whose difference is down at that floor is refined no further
         diff = ERROR_SAFETY * np.abs(pair - whole)
-        floor = rounding * (np.abs(left) + np.abs(right))
+        floor = _ROUNDING * (np.abs(left) + np.abs(right))
         e = np.maximum(diff, floor)
-        met = e <= tol
+        met = e <= level_tol
         final = met | (diff <= floor)
-        if level == cfg.max_levels or final.all():
+        if level == MAX_LEVELS or final.all():
             total += float(pair.sum())
             err += float(e.sum())
             ok = ok and bool(met.all())
@@ -275,19 +262,18 @@ def integrate_line(f, cfg: QuadratureConfig) -> CoulsonResult:
         whole = np.column_stack([left[split], right[split]]).ravel()
         half = 0.5 * (b - a)
         sums = _panel_sums(f, *_panel_points(np.concatenate([a, a + half]),
-                                             np.concatenate([half, half]), nodes), weights)
+                                             np.concatenate([half, half])))
         left, right = sums.reshape(2, -1)
-        evals += sums.size * nodes.size
+        evals += sums.size * NODES_PER_PANEL
     return CoulsonResult(value=2.0 * total, error_estimate=2.0 * err, converged=ok,
                          evaluations=evals)
 
 
-def coulson_vertex_energy(g: Graph, i: int, cfg: QuadratureConfig | None = None,
-                          *, mode: str = MODE_SUBMATRIX) -> CoulsonResult:
-    """Vertex energy by numerical integration; check ``converged`` and
-    ``error_estimate`` on the result rather than trusting blindly."""
+def coulson_vertex_energy(g: Graph, i: int, *, tol: float = DEFAULT_TOL,
+                          mode: str = MODE_SUBMATRIX) -> CoulsonResult:
+    """Vertex energy by numerical integration to ``tol``; check ``converged``
+    and ``error_estimate`` on the result rather than trusting blindly."""
     _check_graph(g)
-    raw = integrate_line(coulson_integrand(g, i, mode=mode),
-                         _DEFAULT_CONFIG if cfg is None else cfg)
+    raw = integrate_line(coulson_integrand(g, i, mode=mode), tol)
     return CoulsonResult(raw.value / math.pi, raw.error_estimate / math.pi,
                          raw.converged, raw.evaluations)

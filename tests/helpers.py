@@ -5,7 +5,13 @@ import math
 import numpy as np
 
 from randic_energy.cli import NonFiniteError
-from randic_energy.coulson import BREAKDOWN_TOL, ERROR_SAFETY, CoulsonResult, QuadratureConfig
+from randic_energy.coulson import (
+    BREAKDOWN_TOL,
+    ERROR_SAFETY,
+    MAX_LEVELS,
+    NODES_PER_PANEL,
+    CoulsonResult,
+)
 from randic_energy.graph import MAX_VERTICES, Graph, GraphParseError, check_vertex
 from randic_energy.spectral import ZERO_EIGENVALUE_TOL, randic_matrix
 
@@ -204,11 +210,11 @@ def resolvent_integrand_stepwise(a: np.ndarray, b2: np.ndarray):
     return f
 
 
-def integrate_line_stepwise(f, cfg: QuadratureConfig) -> CoulsonResult:
-    """The breadth-first quadrature with every level's panel geometry,
-    level 0 included, computed in the call."""
-    nodes, weights = np.polynomial.legendre.leggauss(cfg.nodes_per_panel)
-    rounding = cfg.nodes_per_panel * np.finfo(float).eps
+def integrate_line_stepwise(f, tol: float) -> CoulsonResult:
+    """The breadth-first quadrature with the rule and every level's panel
+    geometry, level 0 included, computed in the call."""
+    nodes, weights = np.polynomial.legendre.leggauss(NODES_PER_PANEL)
+    rounding = NODES_PER_PANEL * np.finfo(float).eps
 
     def panel_sums(lo, width):
         half = 0.5 * width
@@ -219,8 +225,8 @@ def integrate_line_stepwise(f, cfg: QuadratureConfig) -> CoulsonResult:
     a = np.array([0.0, math.pi / 4])
     b = np.array([math.pi / 4, math.pi / 2])
     total, err, ok, evals = 0.0, 0.0, True, 0
-    for level in range(cfg.max_levels + 1):
-        tol = cfg.tolerance / 4.0 * 0.5 ** level
+    for level in range(MAX_LEVELS + 1):
+        level_tol = tol / 4.0 * 0.5 ** level
         half = 0.5 * (b - a)
         lo, width = np.concatenate([a, a + half]), np.concatenate([half, half])
         if level == 0:
@@ -233,10 +239,10 @@ def integrate_line_stepwise(f, cfg: QuadratureConfig) -> CoulsonResult:
         diff = ERROR_SAFETY * np.abs(left + right - whole)
         floor = rounding * (np.abs(left) + np.abs(right))
         e = np.maximum(diff, floor)
-        final = (e <= tol) | (diff <= floor) | (level == cfg.max_levels)
+        final = (e <= level_tol) | (diff <= floor) | (level == MAX_LEVELS)
         total += float(np.sum(left[final] + right[final]))
         err += float(np.sum(e[final]))
-        ok = ok and bool(np.all(e[final] <= tol))
+        ok = ok and bool(np.all(e[final] <= level_tol))
         split = ~final
         if not split.any():
             break
@@ -248,9 +254,9 @@ def integrate_line_stepwise(f, cfg: QuadratureConfig) -> CoulsonResult:
                          evaluations=evals)
 
 
-def coulson_vertex_energy_stepwise(g: Graph, i: int, cfg: QuadratureConfig) -> CoulsonResult:
+def coulson_vertex_energy_stepwise(g: Graph, i: int, tol: float) -> CoulsonResult:
     """``coulson_vertex_energy`` (submatrix mode) from the three functions above."""
     f = resolvent_integrand_stepwise(*lanczos_coefficients_stepwise(randic_matrix(g), i))
-    raw = integrate_line_stepwise(f, cfg)
+    raw = integrate_line_stepwise(f, tol)
     return CoulsonResult(value=raw.value / math.pi, error_estimate=raw.error_estimate / math.pi,
                          converged=raw.converged, evaluations=raw.evaluations)

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -12,10 +13,14 @@ from helpers import (
     lanczos_coefficients_stepwise,
     resolvent_integrand_stepwise,
 )
-from randic_energy.charpoly import MODE_DELETED_GRAPH
+from randic_energy.charpoly import MODE_DELETED_GRAPH, MODE_SUBMATRIX
 from randic_energy.coulson import (
-    QuadratureConfig,
-    _rule,
+    _LEVEL0_POINTS,
+    _NODES,
+    _WEIGHTS,
+    DEFAULT_TOL,
+    MAX_LEVELS,
+    NODES_PER_PANEL,
     coulson_integrand,
     coulson_vertex_energy,
     integrate_line,
@@ -46,29 +51,14 @@ def complete_bipartite(n1, n2):
                                       for v in range(n1, n1 + n2)])
 
 
-# ------------------------------------------------------------------- config
+# --------------------------------------------------------------- quadrature
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        QuadratureConfig(nodes_per_panel=4)
-    for tolerance in (0.0, -1e-3, math.nan, math.inf):
-        with pytest.raises(ValueError, match="positive and finite"):
-            QuadratureConfig(tolerance=tolerance)
-    with pytest.raises(ValueError):
-        QuadratureConfig(max_levels=0)
-
-
-@pytest.mark.parametrize("field", ["nodes_per_panel", "max_levels"])
-@pytest.mark.parametrize("value", [2.5, 32.0, True, "32", None])
-def test_config_rejects_non_integer_counts(field, value):
-    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
-        QuadratureConfig(**{field: value})
-
-
-def test_config_accepts_numpy_integers():
-    cfg = QuadratureConfig(nodes_per_panel=np.int64(8), max_levels=np.int32(3))
-    res = integrate_line(lambda x: 1.0 / (1.0 + x * x), cfg)
-    assert res.value == pytest.approx(math.pi, abs=1e-6)
+@pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan, math.inf, -math.inf])
+def test_tolerance_must_be_positive_and_finite(tol):
+    with pytest.raises(ValueError, match="positive and finite"):
+        integrate_line(lambda x: 1.0 / (1.0 + x * x), tol)
+    with pytest.raises(ValueError, match="positive and finite"):
+        coulson_vertex_energy(path(3), 0, tol=tol)
 
 
 def counting(f, calls):
@@ -79,11 +69,16 @@ def counting(f, calls):
     return counted
 
 
-def depth_first(f, cfg):
+def step(x):
+    """1 on |x| < 1 and 0 outside: no panel across the jump ever converges."""
+    return np.where(np.abs(x) < 1.0, 1.0, 0.0)
+
+
+def depth_first(f, tol):
     """The recursion that integrate_line's breadth-first loop replaces, on the
     half line and without the rounding floor: the reference for its panels,
     tolerances and evaluation counts. Returns (value, evaluations)."""
-    nodes, weights = np.polynomial.legendre.leggauss(cfg.nodes_per_panel)
+    nodes, weights = np.polynomial.legendre.leggauss(NODES_PER_PANEL)
 
     def panel(a, b):
         half = 0.5 * (b - a)
@@ -103,7 +98,7 @@ def depth_first(f, cfg):
 
     value, evals = 0.0, 0
     for a, b in ((0.0, math.pi / 4), (math.pi / 4, math.pi / 2)):
-        v, n = refine(a, b, panel(a, b), cfg.tolerance / 4.0, cfg.max_levels)
+        v, n = refine(a, b, panel(a, b), tol / 4.0, MAX_LEVELS)
         value, evals = value + v, evals + n + len(nodes)
     return 2.0 * value, evals
 
@@ -114,47 +109,55 @@ def test_quadrature_on_known_integral():
         (lambda x: np.exp(-x * x), math.sqrt(math.pi), 1e-10),
     ]:
         calls = []
-        res = integrate_line(counting(f, calls), QuadratureConfig(tolerance=tol))
+        res = integrate_line(counting(f, calls), tol)
         assert res.converged
         assert res.value == pytest.approx(exact, abs=1e-10)
         # level 0 converges: both panels whole and halved in one call of f
-        assert calls == [(6, 32)]
+        assert calls == [(6, NODES_PER_PANEL)]
         assert res.evaluations == 192
 
 
 def test_quadrature_flags_exhaustion():
-    # a spike much narrower than the coarse panels, with refinement disabled
-    cfg = QuadratureConfig(nodes_per_panel=8, tolerance=1e-12, max_levels=1)
+    # the panels across the step are still open after the last level
+    tol = 1e-7
     calls = []
-    res = integrate_line(counting(lambda x: 1.0 / (1.0 + 1e6 * x * x), calls), cfg)
-    assert not res.converged
-    assert res.error_estimate > cfg.tolerance
-    assert len(calls) == cfg.max_levels + 1
+    res = integrate_line(counting(step, calls), tol)
+    assert res.converged is False
+    assert res.error_estimate > tol
+    assert len(calls) == MAX_LEVELS + 1
+    assert res.evaluations == sum(math.prod(shape) for shape in calls)
+    ref = integrate_line_stepwise(step, tol)
+    assert (res.value.hex(), res.error_estimate.hex()) == \
+        (ref.value.hex(), ref.error_estimate.hex())
+    assert (res.evaluations, res.converged) == (ref.evaluations, ref.converged)
 
 
-@pytest.mark.parametrize("max_levels", [1, 3, 12])
-def test_quadrature_calls_f_once_per_level(max_levels):
-    cfg = QuadratureConfig(nodes_per_panel=8, tolerance=1e-12, max_levels=max_levels)
+def test_quadrature_calls_f_once_per_level():
     calls = []
-    res = integrate_line(counting(lambda x: 1.0 / (1.0 + 1e12 * x * x), calls), cfg)
-    assert 1 < len(calls) <= cfg.max_levels + 1
+    res = integrate_line(counting(lambda x: 1.0 / (1.0 + 1e12 * x * x), calls), 1e-12)
+    assert res.converged
+    assert 1 < len(calls) <= MAX_LEVELS + 1
     assert res.evaluations == sum(math.prod(shape) for shape in calls)
     # past level 0, each call holds two half sums for each of the two halves
     # of every panel still open
-    assert all(shape[0] % 4 == 0 and shape[1] == 8 for shape in calls[1:])
+    assert calls[0] == (6, NODES_PER_PANEL)
+    assert all(shape[0] % 4 == 0 and shape[1] == NODES_PER_PANEL for shape in calls[1:])
 
 
-@pytest.mark.parametrize("f, cfg", [
-    (lambda x: 1.0 / (1.0 + 1e6 * x * x), QuadratureConfig(nodes_per_panel=8, tolerance=1e-12)),
-    (lambda x: 1.0 / (1.0 + 1e12 * x * x), QuadratureConfig(nodes_per_panel=8, tolerance=1e-12,
-                                                             max_levels=3)),
-    *[(coulson_integrand(g, i), QuadratureConfig(tolerance=tol))
-      for g in (DEMO7, path(101), random_connected_graph(random.Random(50), 50))
-      for i in (0, 3, 6) for tol in (1e-7, 1e-10)],
+BREADTH_FIRST_GRAPHS = {"DEMO7": DEMO7, "path(101)": path(101),
+                        "G(50, 0.4)": random_connected_graph(random.Random(50), 50)}
+
+
+@pytest.mark.parametrize("f, tol", [
+    pytest.param(lambda x: 1.0 / (1.0 + 1e6 * x * x), 1e-12, id="spike 1e-3 wide, tol 1e-12"),
+    pytest.param(lambda x: 1.0 / (1.0 + 1e12 * x * x), 1e-12, id="spike 1e-6 wide, tol 1e-12"),
+    pytest.param(step, 1e-7, id="step, tol 1e-07"),
+    *[pytest.param(coulson_integrand(g, i), tol, id=f"{label} vertex {i}, tol {tol:g}")
+      for label, g in BREADTH_FIRST_GRAPHS.items() for i in (0, 3, 6) for tol in (1e-7, 1e-10)],
 ])
-def test_breadth_first_refines_the_panels_the_recursion_refines(f, cfg):
-    res = integrate_line(f, cfg)
-    value, evals = depth_first(f, cfg)
+def test_breadth_first_refines_the_panels_the_recursion_refines(f, tol):
+    res = integrate_line(f, tol)
+    value, evals = depth_first(f, tol)
     assert res.evaluations == evals
     assert res.value == pytest.approx(value, abs=1e-15)
 
@@ -249,15 +252,9 @@ BIT_GRAPHS = {
     "star(24)": star(24),        # Lanczos stops after 2 or 3 steps
     "K(30)": complete(30),       # Lanczos stops after 2 steps
 }
-# at 1e-12 the 32-node panels refine on the larger graphs and stop at the
-# rounding floor on the rest; the 8-node configurations refine on every graph
-BIT_CONFIGS = {
-    "default": QuadratureConfig(),
-    "tol 1e-12": QuadratureConfig(tolerance=1e-12),
-    "8 nodes": QuadratureConfig(nodes_per_panel=8),
-    "8 nodes, 1 level": QuadratureConfig(nodes_per_panel=8, tolerance=1e-12, max_levels=1),
-    "8 nodes, 3 levels": QuadratureConfig(nodes_per_panel=8, tolerance=1e-12, max_levels=3),
-}
+# at 1e-12 the panels refine on the larger graphs and stop at the rounding
+# floor on the rest; 1e-15 is out of reach and never converges
+BIT_TOLERANCES = {"default": DEFAULT_TOL, "tol 1e-12": 1e-12, "tol 1e-15": 1e-15}
 
 
 def hexes(values):
@@ -274,22 +271,16 @@ def test_lanczos_bit_for_bit_as_stepwise(label):
         assert hexes(a) == hexes(ref_a) and hexes(b2) == hexes(ref_b2), (label, i)
 
 
-@pytest.mark.parametrize("config", BIT_CONFIGS)
+@pytest.mark.parametrize("config", BIT_TOLERANCES)
 @pytest.mark.parametrize("label", BIT_GRAPHS)
 def test_vertex_energy_bit_for_bit_as_stepwise(label, config):
-    g, cfg = BIT_GRAPHS[label], BIT_CONFIGS[config]
-    # every vertex at the default config, a spread of them at the others
-    vertices = range(g.n) if config == "default" else sorted({0, 1, g.n // 2, g.n - 1})
-    levels = set()
-    for i in vertices:
-        res = coulson_vertex_energy(g, i, cfg)
-        ref = coulson_vertex_energy_stepwise(g, i, cfg)
+    g, tol = BIT_GRAPHS[label], BIT_TOLERANCES[config]
+    for i in range(g.n):
+        res = coulson_vertex_energy(g, i, tol=tol)
+        ref = coulson_vertex_energy_stepwise(g, i, tol)
         assert (res.value.hex(), res.error_estimate.hex()) == \
             (ref.value.hex(), ref.error_estimate.hex()), (label, config, i)
         assert (res.evaluations, res.converged) == (ref.evaluations, ref.converged)
-        levels.add(res.evaluations > 6 * cfg.nodes_per_panel)
-    if config.startswith("8 nodes"):
-        assert True in levels, "the configuration should refine past level 0"
 
 
 def test_integrand_bit_for_bit_as_stepwise_off_the_quadrature_nodes():
@@ -305,25 +296,32 @@ def test_integrand_bit_for_bit_as_stepwise_off_the_quadrature_nodes():
             assert isinstance(f(x), float) and f(x).hex() == ref(x).hex()
 
 
+@pytest.mark.parametrize("mode", [MODE_SUBMATRIX, MODE_DELETED_GRAPH])
+def test_integrand_is_zero_at_infinity(mode):
+    f = coulson_integrand(path(4), 0, mode=mode)
+    xs = np.array([[np.inf, 2.0, -np.inf], [-0.5, np.inf, 1e15]])
+    finite = np.isfinite(xs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (np.inf, -np.inf):
+            assert isinstance(f(x), float) and f(x) == 0.0
+        out = f(xs)
+        assert np.all(out[~finite] == 0.0)
+        # the finite entries are as they are without the infinite ones
+        assert hexes(out[finite]) == hexes(f(xs[finite]))
+        if mode == MODE_SUBMATRIX:
+            assert hexes(f(np.array([0.0, np.inf]))) == hexes([f(0.0), 0.0])
+
+
 def test_level0_rule_is_cached_read_only():
-    rule = _rule(32)
-    assert _rule(32) is rule
-    for array in rule:
+    # the rule and level 0's geometry are computed once, at import
+    half, x, dxdt = _LEVEL0_POINTS
+    for array in (_NODES, _WEIGHTS, half, x, dxdt):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[..., 0] = 1.0
-    assert rule.x.shape == rule.dxdt.shape == (6, 32) and rule.half.shape == (6,)
-
-
-def test_two_panel_sizes_in_one_process():
-    f = lambda x: 1.0 / (1.0 + 1e4 * x * x)  # noqa: E731
-    for nodes_per_panel in (8, 32, 8, 16, 32):
-        cfg = QuadratureConfig(nodes_per_panel=nodes_per_panel, tolerance=1e-10)
-        res, ref = integrate_line(f, cfg), integrate_line_stepwise(f, cfg)
-        assert res.value.hex() == ref.value.hex()
-        assert res.error_estimate.hex() == ref.error_estimate.hex()
-        assert (res.evaluations, res.converged) == (ref.evaluations, ref.converged)
-        assert _rule(nodes_per_panel).x.shape == (6, nodes_per_panel)
+    assert _NODES.shape == _WEIGHTS.shape == (NODES_PER_PANEL,)
+    assert x.shape == dxdt.shape == (6, NODES_PER_PANEL) and half.shape == (6,)
 
 
 # ------------------------------------------------------------------- energy
@@ -373,6 +371,7 @@ def test_route_agreement_random(seed, n):
         assert res.value == pytest.approx(eig[i], abs=max(1e-5, res.error_estimate))
 
 
+@pytest.mark.parametrize("tol", [1e-7, 1e-12])
 @pytest.mark.parametrize("label, g", [
     *[(f"G({n}, 0.4)", random_connected_graph(random.Random(n), n)) for n in (20, 50, 100)],
     # under x = tan(t) alone vertex 51 converged 1.45e-7 off
@@ -381,15 +380,14 @@ def test_route_agreement_random(seed, n):
     ("K(40, 60)", complete_bipartite(40, 60)),
     ("path(101)", path(101)),            # one zero eigenvalue, spectrum down to 0.03
 ])
-def test_every_vertex_within_tolerance_at_sizes_in_use(label, g):
-    cfg = QuadratureConfig()
+def test_every_vertex_within_tolerance_at_sizes_in_use(label, g, tol):
     lam, y = np.linalg.eigh(randic_matrix(g))
     reference = (y * y) @ np.abs(lam)
     for i in range(g.n):
-        res = coulson_vertex_energy(g, i, cfg)
+        res = coulson_vertex_energy(g, i, tol=tol)
         assert res.converged, (label, i)
-        assert abs(res.value - reference[i]) <= cfg.tolerance, (label, i)
-        assert res.error_estimate <= cfg.tolerance, (label, i)
+        assert abs(res.value - reference[i]) <= tol, (label, i)
+        assert res.error_estimate <= tol, (label, i)
 
 
 @pytest.mark.parametrize("label, g", [("cycle(8)", cycle(8)), ("star(12)", star(12)),
@@ -398,12 +396,12 @@ def test_unreachable_tolerance_is_never_converged(label, g):
     # both sums of a panel can agree bit for bit while each carries rounding
     # error; the estimate's rounding floor keeps such a panel unconverged,
     # and refinement that rounding would defeat stops there
-    cfg = QuadratureConfig(tolerance=1e-18)
+    tol = 1e-18
     for i in range(g.n):
         calls = []
-        res = integrate_line(counting(coulson_integrand(g, i), calls), cfg)
+        res = integrate_line(counting(coulson_integrand(g, i), calls), tol)
         assert not res.converged, (label, i)
-        assert res.error_estimate > cfg.tolerance, (label, i)
+        assert res.error_estimate > tol, (label, i)
         assert len(calls) <= 3, (label, i)
 
 
@@ -432,7 +430,7 @@ def test_tightening_tolerance_does_not_hurt():
     for i in (0, 3, 6):
         errs = []
         for tol in (1e-5, 1e-7, 1e-9):
-            res = coulson_vertex_energy(g, i, QuadratureConfig(tolerance=tol))
+            res = coulson_vertex_energy(g, i, tol=tol)
             errs.append(abs(res.value - eig[i]))
         assert errs[1] <= errs[0] + 1e-12
         assert errs[2] <= errs[1] + 1e-12
