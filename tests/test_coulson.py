@@ -132,9 +132,11 @@ def test_quadrature_flags_exhaustion():
     assert (res.evaluations, res.converged) == (ref.evaluations, ref.converged)
 
 
-def test_quadrature_calls_f_once_per_level():
+@pytest.mark.parametrize("k", [6, 12])
+def test_quadrature_calls_f_once_per_level(k):
+    # a spike 10**(-k/2) wide
     calls = []
-    res = integrate_line(counting(lambda x: 1.0 / (1.0 + 1e12 * x * x), calls), 1e-12)
+    res = integrate_line(counting(lambda x: 1.0 / (1.0 + 10.0**k * x * x), calls), 1e-12)
     assert res.converged
     assert 1 < len(calls) <= MAX_LEVELS + 1
     assert res.evaluations == sum(math.prod(shape) for shape in calls)
@@ -144,16 +146,20 @@ def test_quadrature_calls_f_once_per_level():
     assert all(shape[0] % 4 == 0 and shape[1] == NODES_PER_PANEL for shape in calls[1:])
 
 
-BREADTH_FIRST_GRAPHS = {"DEMO7": DEMO7, "path(101)": path(101),
-                        "G(50, 0.4)": random_connected_graph(random.Random(50), 50)}
+BREADTH_FIRST_CASES = [
+    (lambda x: 1.0 / (1.0 + 1e6 * x * x), 1e-12),
+    (lambda x: 1.0 / (1.0 + 1e12 * x * x), 1e-12),
+    *[(coulson_integrand(g, i), tol)
+      for g in (DEMO7, path(101), random_connected_graph(random.Random(50), 50))
+      for i in (0, 3, 6) for tol in (1e-7, 1e-10)],
+]
 
 
+# the ids pytest gave these cases when each carried a config object
 @pytest.mark.parametrize("f, tol", [
-    pytest.param(lambda x: 1.0 / (1.0 + 1e6 * x * x), 1e-12, id="spike 1e-3 wide, tol 1e-12"),
-    pytest.param(lambda x: 1.0 / (1.0 + 1e12 * x * x), 1e-12, id="spike 1e-6 wide, tol 1e-12"),
+    *[pytest.param(f, tol, id=f"{f.__name__}-cfg{k}")
+      for k, (f, tol) in enumerate(BREADTH_FIRST_CASES)],
     pytest.param(step, 1e-7, id="step, tol 1e-07"),
-    *[pytest.param(coulson_integrand(g, i), tol, id=f"{label} vertex {i}, tol {tol:g}")
-      for label, g in BREADTH_FIRST_GRAPHS.items() for i in (0, 3, 6) for tol in (1e-7, 1e-10)],
 ])
 def test_breadth_first_refines_the_panels_the_recursion_refines(f, tol):
     res = integrate_line(f, tol)
@@ -371,14 +377,21 @@ def test_route_agreement_random(seed, n):
         assert res.value == pytest.approx(eig[i], abs=max(1e-5, res.error_estimate))
 
 
-@pytest.mark.parametrize("tol", [1e-7, 1e-12])
-@pytest.mark.parametrize("label, g", [
+SIZES_IN_USE = [
     *[(f"G({n}, 0.4)", random_connected_graph(random.Random(n), n)) for n in (20, 50, 100)],
     # under x = tan(t) alone vertex 51 converged 1.45e-7 off
     ("G(150, 0.1)", random_connected_graph(random.Random(150_001), 150, 0.1)),
     ("star(150)", star(150)),            # 148 zero eigenvalues
     ("K(40, 60)", complete_bipartite(40, 60)),
     ("path(101)", path(101)),            # one zero eigenvalue, spectrum down to 0.03
+]
+
+
+# at the default tolerance the cases keep the ids they had before it was
+# a parameter
+@pytest.mark.parametrize("label, g, tol", [
+    pytest.param(label, g, tol, id=f"{label}-g{k}" + ("" if tol == DEFAULT_TOL else f"-{tol:g}"))
+    for tol in (DEFAULT_TOL, 1e-12) for k, (label, g) in enumerate(SIZES_IN_USE)
 ])
 def test_every_vertex_within_tolerance_at_sizes_in_use(label, g, tol):
     lam, y = np.linalg.eigh(randic_matrix(g))
